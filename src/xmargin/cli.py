@@ -21,10 +21,9 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config, validate
-from .data_pipeline import (Dataset, Scaling, apply_scaler, fit_scaler,
-                            load_csv, repeated_cv, stratified_split)
-from .loss_core import (LossFamily, LossParams, predict_label,
-                        xtreme_margin_loss, loss_and_grad)
+from .data_pipeline import (Dataset, apply_scaler, fit_scaler, load_csv,
+                            repeated_cv, stratified_split)
+from .loss_core import LossFamily, LossParams, predict_label, xtreme_margin_loss
 from .metrics import (LabelConfidence, accuracy, auc, bias_estimate,
                       conditional_accuracy, conditional_risk, confusion,
                       precision_recall)
@@ -39,16 +38,21 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
                     header=cfg.header)
 
 
-def _train_predictor_fn(cfg: ExperimentConfig, epochs: int | None = None):
-    """A train_fn for repeated_cv: builds the fixed experiment model and
+def _fit(build, cfg: ExperimentConfig, X, y, seed: int,
+         params: LossParams | None = None, **eval_data):
+    """Train `build(X.shape[1], seed)` with cfg's optimizer, epochs and batch
+    size, shuffling and dropping out with a generator seeded by `seed`."""
+    return train_loop(build(X.shape[1], seed), X, y, params or cfg.loss_params(),
+                      cfg.optimizer_config(), epochs=cfg.epochs, batch_size=cfg.batch_size,
+                      rng=np.random.default_rng(seed), **eval_data)
+
+
+def _train_predictor_fn(cfg: ExperimentConfig):
+    """A train_fn for repeated_cv: trains the fixed experiment model and
     returns an inference predictor."""
-    n_epochs = epochs if epochs is not None else cfg.epochs
 
     def train_fn(X, y, cell_seed):
-        model = build_experiment_model(X.shape[1], cell_seed)
-        rng = np.random.default_rng(cell_seed)
-        result = train_loop(model, X, y, cfg.loss_params(), cfg.optimizer_config(),
-                            epochs=n_epochs, batch_size=cfg.batch_size, rng=rng)
+        result = _fit(build_experiment_model, cfg, X, y, cell_seed)
         return lambda Xe: predict_proba(result.model, Xe)
 
     return train_fn
@@ -77,10 +81,12 @@ def _final_metrics(probs: np.ndarray, y: np.ndarray) -> dict:
 
 
 def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
+    """(Xtr, ytr, Xte, yte, test_idx), scaled by training-row statistics."""
     train_idx, test_idx = stratified_split(data, cfg.test_fraction, cfg.seed)
     stats = fit_scaler(data.features, cfg.scaling, train_idx)
     X = apply_scaler(data.features, cfg.scaling, stats)
-    return X[train_idx], data.labels[train_idx], X[test_idx], data.labels[test_idx]
+    return (X[train_idx], data.labels[train_idx], X[test_idx], data.labels[test_idx],
+            test_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +95,8 @@ def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
 
 def cmd_train(cfg: ExperimentConfig) -> dict:
     data = _load_dataset(cfg)
-    Xtr, ytr, Xte, yte = _split_and_scale(cfg, data)
-    model = build_experiment_model(Xtr.shape[1], cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    result = train_loop(model, Xtr, ytr, cfg.loss_params(), cfg.optimizer_config(),
-                        epochs=cfg.epochs, batch_size=cfg.batch_size, rng=rng,
-                        eval_X=Xte, eval_y=yte)
+    Xtr, ytr, Xte, yte, _ = _split_and_scale(cfg, data)
+    result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed, eval_X=Xte, eval_y=yte)
     rows = [(h.epoch, h.train_loss, h.train_acc, h.eval_acc) for h in result.history]
     write_csv(os.path.join(cfg.output_dir, "curves.csv"),
               ["epoch", "train_loss", "train_acc", "test_acc"], rows)
@@ -177,11 +179,7 @@ def cmd_boundary(cfg: ExperimentConfig, feature_pair: tuple[int, int],
     feats = data.features[:, [f1, f2]]
     stats = fit_scaler(feats, cfg.scaling, np.arange(len(feats)))
     X = apply_scaler(feats, cfg.scaling, stats)
-    model = build_boundary_model(2, cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    result = train_loop(model, X, data.labels, cfg.loss_params(),
-                        cfg.optimizer_config(), epochs=cfg.epochs,
-                        batch_size=cfg.batch_size, rng=rng)
+    result = _fit(build_boundary_model, cfg, X, data.labels, cfg.seed)
 
     lo = feats.min(axis=0)
     hi = feats.max(axis=0)
@@ -238,12 +236,16 @@ def cmd_loss_curve(cfg: ExperimentConfig, y_true: int, samples: int) -> dict:
 def parse_variant(spec: str) -> LossParams:
     """'xm:L1:L2', 'bce', or 'hinge'."""
     parts = spec.split(":")
-    family = LossFamily.parse(parts[0])
+    try:
+        family = LossFamily.parse(parts[0])
+        lambdas = [float(v) for v in parts[1:]]
+        if family is LossFamily.XTREME_MARGIN and len(lambdas) == 2:
+            return LossParams(*lambdas, family)
+    except ValueError as exc:
+        raise ConfigError(f"bad variant {spec!r}: {exc}") from None
     if family is LossFamily.XTREME_MARGIN:
-        if len(parts) != 3:
-            raise ConfigError(f"xtreme-margin variant needs xm:L1:L2, got {spec!r}")
-        return LossParams(float(parts[1]), float(parts[2]), family)
-    if len(parts) != 1:
+        raise ConfigError(f"xtreme-margin variant needs xm:L1:L2, got {spec!r}")
+    if lambdas:
         raise ConfigError(f"{parts[0]} variant takes no lambdas, got {spec!r}")
     return LossParams(family=family)
 
@@ -253,17 +255,14 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
     if ensemble_size < 2:
         raise ConfigError("ensemble_size must be >= 2")
     data = _load_dataset(cfg)
-    Xtr, ytr, Xte, yte = _split_and_scale(cfg, data)
+    Xtr, ytr, Xte, yte, _ = _split_and_scale(cfg, data)
     table = []
     warnings = []
     for params in variants:
         preds = []
         for member in range(ensemble_size):
-            member_seed = cfg.seed + 7919 * (member + 1)
-            model = build_experiment_model(Xtr.shape[1], member_seed)
-            rng = np.random.default_rng(member_seed)
-            result = train_loop(model, Xtr, ytr, params, cfg.optimizer_config(),
-                                epochs=cfg.epochs, batch_size=cfg.batch_size, rng=rng)
+            result = _fit(build_experiment_model, cfg, Xtr, ytr,
+                          cfg.seed + 7919 * (member + 1), params)
             preds.append(predict_proba(result.model, Xte))
         preds = np.array(preds)
         if np.allclose(preds, preds[0], atol=0.0):
@@ -293,22 +292,23 @@ def cmd_risk(cfg: ExperimentConfig, confidence_const: tuple[float, float] | None
              confidence_column: int | None) -> dict:
     if (confidence_const is None) == (confidence_column is None):
         raise ConfigError("exactly one of --confidence / --confidence-column is required")
+    const = None
+    if confidence_const is not None:
+        try:
+            const = LabelConfidence(*confidence_const)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     data = _load_dataset(cfg)
-    Xtr, ytr, Xte, yte = _split_and_scale(cfg, data)
-    train_idx, test_idx = stratified_split(data, cfg.test_fraction, cfg.seed)
-    model = build_experiment_model(Xtr.shape[1], cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    result = train_loop(model, Xtr, ytr, cfg.loss_params(), cfg.optimizer_config(),
-                        epochs=cfg.epochs, batch_size=cfg.batch_size, rng=rng)
+    if confidence_column is not None and not (0 <= confidence_column < data.d):
+        raise ConfigError(f"confidence column {confidence_column} out of range")
+    Xtr, ytr, Xte, _, test_idx = _split_and_scale(cfg, data)
+    result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed)
     probs = predict_proba(result.model, Xte)
     rows = []
     params = cfg.loss_params()
-    for pos, (inst, y) in enumerate(zip(test_idx, probs)):
-        if confidence_const is not None:
-            conf = LabelConfidence(*confidence_const)
-        else:
-            if not (0 <= confidence_column < data.d):
-                raise ConfigError(f"confidence column {confidence_column} out of range")
+    for inst, y in zip(test_idx, probs):
+        conf = const
+        if conf is None:
             p1 = float(data.features[inst, confidence_column])
             conf = LabelConfidence(1.0 - p1, p1)
         rows.append((int(inst), float(y), conditional_risk(float(y), conf, params)))
@@ -326,18 +326,20 @@ def cmd_risk(cfg: ExperimentConfig, confidence_const: tuple[float, float] | None
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _parse_pair(flag: str, text: str, kind=float) -> tuple:
+    """'a,b' -> (kind(a), kind(b)); anything else is a ConfigError."""
+    try:
+        a, b = (kind(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} needs two comma-separated {kind.__name__} "
+                          f"values, got {text!r}") from None
+    return a, b
+
+
 def _parse_lambda_grid(text: str) -> list[tuple[float, float]]:
     """'1,1;10,10;100,100' -> [(1,1), (10,10), (100,100)]."""
-    grid = []
-    for cell in text.split(";"):
-        cell = cell.strip()
-        if not cell:
-            continue
-        parts = cell.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"grid cell must be 'l1,l2', got {cell!r}")
-        grid.append((float(parts[0]), float(parts[1])))
-    return grid
+    return [_parse_pair("--lambda-grid cell", cell.strip())
+            for cell in text.split(";") if cell.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,18 +395,15 @@ def _dispatch(args) -> dict:
     if args.command == "grid":
         return cfg, cmd_grid(cfg, _parse_lambda_grid(args.lambda_grid))
     if args.command == "boundary":
-        f1, f2 = (int(v) for v in args.features.split(","))
-        return cfg, cmd_boundary(cfg, (f1, f2), args.resolution)
+        return cfg, cmd_boundary(cfg, _parse_pair("--features", args.features, int),
+                                 args.resolution)
     if args.command == "loss-curve":
         return cfg, cmd_loss_curve(cfg, args.y_true, args.samples)
     if args.command == "bias":
         variants = [parse_variant(v) for v in args.variants.split(",") if v.strip()]
         return cfg, cmd_bias(cfg, variants, args.ensemble_size)
     if args.command == "risk":
-        const = None
-        if args.confidence:
-            p0, p1 = (float(v) for v in args.confidence.split(","))
-            const = (p0, p1)
+        const = _parse_pair("--confidence", args.confidence) if args.confidence else None
         return cfg, cmd_risk(cfg, const, args.confidence_column)
     raise ConfigError(f"unknown command {args.command}")
 

@@ -246,16 +246,7 @@ def batch_loss(records: Sequence[PredictionRecord], params: LossParams) -> float
 def xtreme_margin_loss_vec(y: np.ndarray, y_true: np.ndarray,
                            lambda1: float, lambda2: float) -> np.ndarray:
     """Vectorized Xtreme Margin loss values for probability/label arrays."""
-    y = np.asarray(y, dtype=float)
-    y_true = np.asarray(y_true, dtype=float)
-    gap = np.abs(y - y_true)
-    sig = np.where(gap < 0.5, 0.0, np.exp(-gap) - 1.0)
-    y_pred = (y >= 0.5).astype(float)
-    correct = y_pred == y_true
-    m = (2.0 * y - 1.0) ** 2
-    gam = np.where(correct & (y_true == 0.0), lambda1 * m, 0.0) \
-        + np.where(correct & (y_true == 1.0), lambda2 * m, 0.0)
-    return 1.0 / (1.0 + sig + gam)
+    return loss_and_grad_vec(y, y_true, LossParams(lambda1, lambda2))[0]
 
 
 def loss_and_grad_vec(y: np.ndarray, y_true: np.ndarray,
@@ -279,13 +270,18 @@ def loss_and_grad_vec(y: np.ndarray, y_true: np.ndarray,
         active = margin > 0.0
         return np.where(active, margin, 0.0), np.where(active, -2.0 * t, 0.0)
 
+    # One pass over shared intermediates. Where |y - y_true| >= 0.5 (the
+    # misclassified and sigma-boundary pieces) gamma is 0, so the value
+    # 1/(1 + e^{-gap} - 1) is e^{gap}; elsewhere sigma is 0 and the
+    # prediction is correct, so the value is 1/(1 + lam*(2y-1)^2).
     gap = np.abs(y - yt)
     sigma_active = gap >= 0.5
-    vals = xtreme_margin_loss_vec(y, yt, params.lambda1, params.lambda2)
+    egap = np.exp(gap)
     lam = np.where(yt == 0.0, params.lambda1, params.lambda2)
     m = 2.0 * y - 1.0
-    denom = 1.0 + lam * m * m
-    grad_correct = -4.0 * lam * m / (denom * denom)
-    grad_mis = np.exp(gap) * np.where(y > yt, 1.0, -1.0)
-    grads = np.where(sigma_active, grad_mis, grad_correct)
+    lam_m = lam * m
+    denom = 1.0 + lam_m * m
+    vals = np.where(sigma_active, egap, 1.0 / denom)
+    grads = np.where(sigma_active, np.where(y > yt, egap, -egap),
+                     -4.0 * lam_m / (denom * denom))
     return vals, grads

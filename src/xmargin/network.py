@@ -1,9 +1,9 @@
 """Small feedforward network with manual forward/backward passes.
 
-Supports ReLU/Sigmoid activations and inverted dropout. The forward pass
-records everything the backward pass needs (pre-activations, activations,
-dropout masks), so gradients of any scalar loss on the output probability
-can be accumulated with plain reverse-mode chain rule.
+Supports ReLU/Sigmoid activations and inverted dropout; a model's parameters
+live in one flat vector with per-layer views. The forward pass records what
+the backward pass needs (pre-activations, pre- and post-dropout activations,
+dropout masks) for plain reverse-mode accumulation of any scalar loss.
 """
 
 from __future__ import annotations
@@ -25,27 +25,8 @@ class Mode(enum.Enum):
 
 
 def sigmoid(z):
-    # numerically stable split form
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _activate(z, kind: Activation):
-    if kind is Activation.RELU:
-        return np.maximum(z, 0.0)
-    return sigmoid(z)
-
-
-def _activate_grad(z, a, kind: Activation):
-    # subderivative 0 at the ReLU kink
-    if kind is Activation.RELU:
-        return (z > 0.0).astype(float)
-    return a * (1.0 - a)
+    # 1/(1+e^-z) = e^{-log(1+e^-z)}: branch-free, exact in both tails
+    return np.exp(-np.logaddexp(0.0, -np.asarray(z, dtype=float)))
 
 
 @dataclass
@@ -68,6 +49,9 @@ class Layer:
 class MlpModel:
     layers: list[Layer]
     seed: int = 0
+    # every layer's weights then biases, in order; each Layer.weights and
+    # Layer.biases is a view into it, so writes through either reach both
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -76,24 +60,34 @@ class MlpModel:
         last = self.layers[-1]
         if last.weights.shape[0] != 1 or last.activation is not Activation.SIGMOID:
             raise ValueError("final layer must have width 1 and sigmoid activation")
+        self.flat = np.concatenate([p.ravel() for p in self.parameters()], dtype=float)
+        for layer, (w, b) in zip(self.layers, self.views(self.flat)):
+            layer.weights, layer.biases = w, b
+
+    def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weights, biases) views of a vector laid out like `flat`."""
+        out, pos = [], 0
+        for l in self.layers:
+            n_out, n_in = l.weights.shape
+            out.append((vec[pos:pos + n_out * n_in].reshape(n_out, n_in),
+                        vec[pos + n_out * n_in:pos + n_out * (n_in + 1)]))
+            pos += n_out * (n_in + 1)
+        return out
 
     @property
     def input_dim(self) -> int:
         return self.layers[0].weights.shape[1]
 
     def copy(self) -> "MlpModel":
+        # the new model copies these views into a buffer of its own
         return MlpModel(
-            layers=[Layer(l.weights.copy(), l.biases.copy(), l.activation, l.dropout_rate)
+            layers=[Layer(l.weights, l.biases, l.activation, l.dropout_rate)
                     for l in self.layers],
             seed=self.seed,
         )
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for l in self.layers:
-            out.append(l.weights)
-            out.append(l.biases)
-        return out
+        return [p for l in self.layers for p in (l.weights, l.biases)]
 
 
 @dataclass
@@ -102,8 +96,9 @@ class ForwardTrace:
 
     inputs: np.ndarray                 # (n, d)
     pre_activations: list[np.ndarray]  # each (n, width)
-    activations: list[np.ndarray]
-    masks: list[np.ndarray]            # inverted-dropout masks, all-ones in Infer
+    raw_activations: list[np.ndarray]  # before dropout
+    activations: list[np.ndarray]      # after dropout
+    masks: list[np.ndarray | None]     # inverted-dropout masks, None where none applied
     output: np.ndarray = field(init=False)  # (n,) probabilities
 
     def __post_init__(self):
@@ -124,7 +119,7 @@ def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
     """Run the network over one instance (1-D input) or a batch (2-D).
 
     Train mode applies inverted dropout after each activation using the
-    provided generator; Infer mode is deterministic with all-ones masks.
+    provided generator; Infer mode is deterministic and applies no masks.
     """
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     if xa.shape[1] != model.input_dim:
@@ -134,32 +129,42 @@ def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
     if mode is Mode.TRAIN and rng is None:
         raise ValueError("Train mode requires a random generator")
 
-    pre, act, masks = [], [], []
+    pre, raw, act, masks = [], [], [], []
     a = xa
     for layer in model.layers:
         z = a @ layer.weights.T + layer.biases
-        h = _activate(z, layer.activation)
+        h = np.maximum(z, 0.0) if layer.activation is Activation.RELU else sigmoid(z)
+        pre.append(z)
+        raw.append(h)
+        mask = None
         if mode is Mode.TRAIN and layer.dropout_rate > 0.0:
             keep = 1.0 - layer.dropout_rate
-            mask = (rng.random(h.shape) < keep).astype(float) / keep
-        else:
-            mask = np.ones_like(h)
-        h = h * mask
-        pre.append(z)
+            mask = (rng.random(h.shape) < keep) / keep
+            h = h * mask
         act.append(h)
         masks.append(mask)
         a = h
-    return ForwardTrace(inputs=xa, pre_activations=pre, activations=act, masks=masks)
+    return ForwardTrace(inputs=xa, pre_activations=pre, raw_activations=raw,
+                        activations=act, masks=masks)
+
+
+class Gradients(list):
+    """Per-layer [(dW, db), ...] whose arrays are views of `flat`, one
+    vector laid out like `MlpModel.flat`."""
+
+    def __init__(self, pairs, flat: np.ndarray):
+        super().__init__(pairs)
+        self.flat = flat
 
 
 def backward(trace: ForwardTrace, model: MlpModel,
-             dloss_dy: float | np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+             dloss_dy: float | np.ndarray) -> Gradients:
     """Reverse-mode accumulation of d(loss)/d(parameters).
 
     ``dloss_dy`` is the loss derivative with respect to each instance's
     output probability (scalar for a single instance, vector for a batch);
     gradients are summed over the batch, so pre-scale by 1/n for a mean
-    loss. Returns [(dW, db), ...] per layer.
+    loss. Returns [(dW, db), ...] per layer, as views of one fresh vector.
     """
     if len(trace.pre_activations) != len(model.layers):
         raise ValueError("trace/model layer count mismatch")
@@ -170,17 +175,24 @@ def backward(trace: ForwardTrace, model: MlpModel,
     if seed.size != n:
         raise ValueError("dloss_dy length does not match the traced batch")
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
+    flat = np.empty_like(model.flat)
+    grads = Gradients(model.views(flat), flat)
     delta = seed[:, None]  # (n, width) running dLoss/d(post-dropout activation)
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        z = trace.pre_activations[i]
-        mask = trace.masks[i]
-        raw_act = trace.activations[i] / np.where(mask == 0.0, 1.0, mask)
-        dz = delta * mask * _activate_grad(z, raw_act, layer.activation)
-        a_prev = trace.inputs if i == 0 else trace.activations[i - 1]
-        grads[i] = (dz.T @ a_prev, dz.sum(axis=0))
-        delta = dz @ layer.weights
+        if trace.masks[i] is not None:
+            delta = delta * trace.masks[i]
+        if layer.activation is Activation.RELU:
+            # subderivative 0 at the kink
+            dz = delta * (trace.pre_activations[i] > 0.0)
+        else:
+            a = trace.raw_activations[i]
+            dz = delta * (a * (1.0 - a))
+        dw, db = grads[i]
+        np.matmul(dz.T, trace.inputs if i == 0 else trace.activations[i - 1], out=dw)
+        dz.sum(axis=0, out=db)
+        if i > 0:
+            delta = dz @ layer.weights
     return grads
 
 
@@ -257,17 +269,16 @@ def load_model(path) -> MlpModel:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"not a model checkpoint: {path}")
-    seed = int(lines[1].split()[1])
-    n_layers = int(lines[2].split()[1])
-    shapes = []
-    for i in range(n_layers):
-        _, out_d, in_d, act, rate = lines[3 + i].split()
-        shapes.append((int(out_d), int(in_d), Activation(act), float(rate)))
-    layers = []
-    pos = 3 + n_layers
-    for out_d, in_d, act, rate in shapes:
-        w = np.array([float(v) for v in lines[pos].split()]).reshape(out_d, in_d)
-        b = np.array([float(v) for v in lines[pos + 1].split()])
-        pos += 2
-        layers.append(Layer(w, b, act, rate))
-    return MlpModel(layers=layers, seed=seed)
+    try:
+        seed = int(lines[1].split()[1])
+        n_layers = int(lines[2].split()[1])
+        layers = []
+        for i in range(n_layers):
+            _, out_d, in_d, act, rate = lines[3 + i].split()
+            w, b = (np.array([float(v) for v in lines[3 + n_layers + 2 * i + k].split()])
+                    for k in (0, 1))
+            layers.append(Layer(w.reshape(int(out_d), int(in_d)), b, Activation(act),
+                                float(rate)))
+        return MlpModel(layers=layers, seed=seed)
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"malformed model checkpoint {path}: {exc}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .loss_core import LossParams, loss_and_grad_vec
-from .network import MlpModel, Mode, backward, forward, predict_proba
+from .network import Gradients, MlpModel, Mode, backward, forward, predict_proba
 
 
 class Method(enum.Enum):
@@ -60,61 +60,54 @@ class TrainState:
     model: MlpModel
     config: OptimizerConfig
     t: int = 0
-    accumulators: list[np.ndarray] | None = None
+    accumulators: np.ndarray | None = None  # laid out like model.flat
     best_loss: float = math.inf
-    best_params: list[np.ndarray] | None = None
+    best_params: np.ndarray | None = None   # a copy of model.flat
 
-    def _check_bundle(self, grads) -> None:
-        params = self.model.parameters()
-        flat = []
-        for dw, db in grads:
-            flat.append(dw)
-            flat.append(db)
-        if len(flat) != len(params):
-            raise ValueError("gradient bundle does not match model layers")
-        for g, p in zip(flat, params):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            if not np.isfinite(g).all():
-                raise ValueError("non-finite gradient; step rejected")
+    def _flat_grad(self, grads) -> np.ndarray:
+        """The [(dW, db), ...] bundle as one vector laid out like the model's
+        `flat`; raises, before anything is updated, on a shape mismatch or a
+        non-finite entry."""
+        arrays = [g for pair in grads for g in pair]
+        shapes = [p.shape for p in self.model.parameters()]
+        if [g.shape for g in arrays] != shapes:
+            raise ValueError(f"gradient shapes do not match parameter shapes {shapes}")
+        flat = (grads.flat if isinstance(grads, Gradients)
+                else np.concatenate([g.ravel() for g in arrays], dtype=float))
+        if not np.isfinite(flat).all():
+            raise ValueError("non-finite gradient; step rejected")
+        return flat
 
     def note_loss(self, loss: float) -> None:
         if self.config.track_best and loss < self.best_loss:
             self.best_loss = loss
-            self.best_params = [p.copy() for p in self.model.parameters()]
+            self.best_params = self.model.flat.copy()
 
     def best_model(self) -> MlpModel:
         if self.best_params is None:
             return self.model
         out = self.model.copy()
-        for p, best in zip(out.parameters(), self.best_params):
-            p[...] = best
+        out.flat[...] = self.best_params
         return out
 
 
 def subgradient_step(state: TrainState, grads, alpha: float) -> TrainState:
     """theta <- theta - alpha * g for every parameter; increments t."""
-    state._check_bundle(grads)
-    for layer, (dw, db) in zip(state.model.layers, grads):
-        layer.weights -= alpha * dw
-        layer.biases -= alpha * db
+    g = state._flat_grad(grads)
+    state.model.flat -= alpha * g
     state.t += 1
     return state
 
 
 def rmsprop_step(state: TrainState, grads, config: OptimizerConfig) -> TrainState:
     """v <- decay*v + (1-decay)*g^2; theta <- theta - alpha*g/(sqrt(v)+eps)."""
-    state._check_bundle(grads)
-    flat = []
-    for dw, db in grads:
-        flat.append(dw)
-        flat.append(db)
+    g = state._flat_grad(grads)
     if state.accumulators is None:
-        state.accumulators = [np.zeros_like(p) for p in state.model.parameters()]
-    for p, g, v in zip(state.model.parameters(), flat, state.accumulators):
-        v *= config.decay
-        v += (1.0 - config.decay) * g * g
-        p -= config.alpha * g / (np.sqrt(v) + config.epsilon_stab)
+        state.accumulators = np.zeros_like(g)
+    v = state.accumulators
+    v *= config.decay
+    v += (1.0 - config.decay) * g * g
+    state.model.flat -= config.alpha * g / (np.sqrt(v) + config.epsilon_stab)
     state.t += 1
     return state
 

@@ -325,3 +325,30 @@ class TestDeterminism:
         assert main(args) == 0
         for name, blob in first.items():
             assert (workspace["out"] / name).read_bytes() == blob
+
+
+class TestMalformedFlagsExitOne:
+    def test_non_numeric_lambda_grid(self, workspace, capsys):
+        assert main(["grid", "--config", str(workspace["cfg"]),
+                     "--lambda-grid", "1,x"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_single_boundary_feature(self, workspace, capsys):
+        assert main(["boundary", "--config", str(workspace["cfg"]),
+                     "--features", "0"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_single_confidence_value(self, workspace, capsys):
+        assert main(["risk", "--config", str(workspace["cfg"]),
+                     "--confidence", "0.5"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_numeric_variant_lambda(self, workspace, capsys):
+        assert main(["bias", "--config", str(workspace["cfg"]),
+                     "--variants", "xm:1:x,bce"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_confidence_not_a_distribution(self, workspace, capsys):
+        assert main(["risk", "--config", str(workspace["cfg"]),
+                     "--confidence", "0.3,0.3"]) == 1
+        assert "error:" in capsys.readouterr().err

@@ -264,3 +264,93 @@ class TestSigmoid:
         assert np.isfinite(out).all()
         assert out[0] == 0.0 or out[0] < 1e-300
         assert out[1] == 1.0
+
+
+class TestFlatBuffer:
+    def test_parameters_are_views_of_one_buffer(self):
+        model = build_experiment_model(9, seed=2)
+        flat = model.flat
+        assert flat.dtype == np.float64 and flat.flags.c_contiguous
+        assert flat.size == sum(p.size for p in model.parameters())
+        pos = 0
+        for p in model.parameters():
+            assert np.shares_memory(p, flat)
+            assert np.array_equal(p.ravel(), flat[pos:pos + p.size])
+            pos += p.size
+        model.layers[2].biases[3] = 7.5
+        assert 7.5 in flat
+
+    def test_copy_does_not_alias(self):
+        model = build_experiment_model(9, seed=2)
+        twin = model.copy()
+        assert not np.shares_memory(twin.flat, model.flat)
+        assert np.array_equal(twin.flat, model.flat)
+        twin.layers[0].weights[...] = 0.0
+        assert model.layers[0].weights.any()
+
+    def test_gradients_are_views_of_one_fresh_vector(self):
+        model = build_experiment_model(6, seed=3)
+        trace = forward(model, np.random.default_rng(0).normal(size=(4, 6)))
+        grads = backward(trace, model, np.ones(4))
+        assert grads.flat.shape == model.flat.shape
+        assert not np.shares_memory(grads.flat, model.flat)
+        assert np.array_equal(
+            np.concatenate([g.ravel() for pair in grads for g in pair]), grads.flat)
+
+
+class TestRawActivations:
+    def test_raw_times_mask_is_activation_in_train_mode(self):
+        model = build_experiment_model(5, seed=4)
+        X = np.random.default_rng(1).normal(size=(16, 5))
+        trace = forward(model, X, Mode.TRAIN, np.random.default_rng(2))
+        assert any(m is not None for m in trace.masks)
+        for raw, act, mask in zip(trace.raw_activations, trace.activations,
+                                  trace.masks):
+            expected = raw if mask is None else raw * mask
+            assert np.array_equal(expected, act)
+
+    def test_infer_mode_applies_no_masks(self):
+        model = build_experiment_model(5, seed=4)
+        trace = forward(model, np.zeros((3, 5)))
+        assert trace.masks == [None] * len(model.layers)
+        assert all(r is a for r, a in zip(trace.raw_activations, trace.activations))
+
+
+class TestSigmoidReference:
+    def test_matches_logistic_formula(self):
+        z = np.linspace(-700.0, 700.0, 100_001)
+        expected = np.array([1.0 / (1.0 + math.exp(-v)) for v in z])
+        assert np.allclose(sigmoid(z), expected, rtol=1e-12, atol=0.0)
+
+    def test_far_negative_tail_is_not_flushed(self):
+        assert float(sigmoid(np.array([-40.0]))[0]) == pytest.approx(
+            math.exp(-40.0), rel=1e-12)
+
+
+class TestMalformedCheckpoint:
+    def test_truncated_checkpoint_names_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(build_experiment_model(4, seed=1), path)
+        lines = path.read_text().splitlines()
+        for keep in (2, 5, len(lines) - 1):
+            cut = tmp_path / f"cut{keep}.ckpt"
+            cut.write_text("\n".join(lines[:keep]) + "\n")
+            with pytest.raises(ValueError, match=f"cut{keep}.ckpt"):
+                load_model(cut)
+
+    def test_half_written_parameter_line(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(build_boundary_model(2, seed=1), path)
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        with pytest.raises(ValueError, match="model.ckpt"):
+            load_model(path)
+
+    def test_round_trip_keeps_flat_buffer(self, tmp_path):
+        model = build_experiment_model(9, seed=21)
+        model.flat[::7] += 0.1
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert np.array_equal(loaded.flat, model.flat)
+        assert all(np.shares_memory(p, loaded.flat) for p in loaded.parameters())

@@ -260,3 +260,78 @@ class TestConvexToyConvergence:
         grid = np.linspace(-4.0, 4.0, 10000)
         grid_min = min(self.objective(t) for t in grid)
         assert abs(best_val - grid_min) <= 1e-2
+
+
+class TestFlatUpdate:
+    @staticmethod
+    def real_gradients(model):
+        from xmargin.loss_core import loss_and_grad_vec
+        from xmargin.network import Mode, backward, forward
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(16, model.input_dim))
+        y = rng.integers(0, 2, 16)
+        trace = forward(model, X, Mode.TRAIN, rng)
+        _, dvals = loss_and_grad_vec(trace.output, y, LossParams(2.0, 3.0))
+        return backward(trace, model, dvals / 16)
+
+    def test_rmsprop_matches_per_array_reference(self):
+        from xmargin.network import build_experiment_model
+        cfg = OptimizerConfig(alpha=0.01)
+        model = build_experiment_model(7, seed=5)
+        state = TrainState(model=model, config=cfg)
+        ref_params = [p.copy() for p in model.parameters()]
+        ref_acc = [np.zeros_like(p) for p in ref_params]
+        for _ in range(3):
+            grads = self.real_gradients(model)
+            flat_g = [g.copy() for pair in grads for g in pair]
+            rmsprop_step(state, grads, cfg)
+            for p, g, v in zip(ref_params, flat_g, ref_acc):
+                v *= cfg.decay
+                v += (1.0 - cfg.decay) * g * g
+                p -= cfg.alpha * g / (np.sqrt(v) + cfg.epsilon_stab)
+            for p, ref in zip(model.parameters(), ref_params):
+                assert np.array_equal(p, ref)
+        acc = np.concatenate([v.ravel() for v in ref_acc])
+        assert np.array_equal(state.accumulators, acc)
+
+    def test_hand_built_bundle_matches_backward_bundle(self):
+        from xmargin.network import build_experiment_model
+        cfg = OptimizerConfig(alpha=0.01)
+        a = build_experiment_model(7, seed=5)
+        b = a.copy()
+        grads = self.real_gradients(a)
+        hand = [(dw.copy(), db.copy()) for dw, db in grads]
+        rmsprop_step(TrainState(model=a, config=cfg), grads, cfg)
+        rmsprop_step(TrainState(model=b, config=cfg), hand, cfg)
+        assert np.array_equal(a.flat, b.flat)
+
+    @pytest.mark.parametrize("method", [Method.RMSPROP, Method.SUBGRADIENT])
+    def test_non_finite_gradient_leaves_state_untouched(self, method):
+        from xmargin.network import build_experiment_model
+        cfg = OptimizerConfig(method=method, alpha=0.01)
+        model = build_experiment_model(7, seed=5)
+        state = TrainState(model=model, config=cfg)
+        step = (lambda g: rmsprop_step(state, g, cfg)) if method is Method.RMSPROP \
+            else (lambda g: subgradient_step(state, g, cfg.alpha))
+        step(self.real_gradients(model))
+        params = model.flat.copy()
+        acc = None if state.accumulators is None else state.accumulators.copy()
+        bad = self.real_gradients(model)
+        bad[2][0][1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            step(bad)
+        assert np.array_equal(model.flat, params)
+        if acc is not None:
+            assert np.array_equal(state.accumulators, acc)
+        assert state.t == 1
+
+    def test_best_params_snapshot_is_a_new_copy(self):
+        model = one_param_model(0.3, 0.1)
+        state = TrainState(model=model, config=OptimizerConfig())
+        state.note_loss(1.0)
+        first = state.best_params
+        model.flat += 1.0
+        state.note_loss(0.5)
+        assert state.best_params is not first
+        assert np.array_equal(first, [0.3, 0.1])
+        assert np.array_equal(state.best_model().flat, [1.3, 1.1])
