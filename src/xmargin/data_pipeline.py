@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import enum
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -218,56 +217,61 @@ class CvReport:
         return min(self.repeat_stds), max(self.repeat_stds)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("XMARGIN_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"XMARGIN_THREADS must be an integer, got {raw!r}") from None
-
-
 def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
-                seed: int, scaling: Scaling = Scaling.MINMAX) -> CvReport:
+                seed: int, scaling: Scaling = Scaling.MINMAX,
+                max_batch: int | None = None) -> CvReport:
     """Repeated stratified k-fold cross-validation.
 
     Per repeat r a fresh FoldPlan is drawn with seed ``seed ^ r``; for each
-    fold, scaling is fitted on the k-1 training folds, ``train_fn(train_X,
-    train_y, cell_seed)`` produces a predictor (callable X -> probability
-    vector), and ``metric_fn(predictor, X, y)`` scores the held-out fold.
-    (repeat, fold) cells may run on XMARGIN_THREADS workers; the assembled
-    report is identical to sequential execution.
+    fold, scaling is fitted on the k-1 training folds. Cells are handed to
+    ``train_fn(train_Xs, train_ys, cell_seeds)`` in (repeat, fold) order,
+    all in one call or, with ``max_batch``, at most that many per call
+    (fewer cells in memory at once). It returns per cell a predictor
+    (callable X -> probability vector) or the exception the cell failed
+    with; ``metric_fn(predictor, X, y)`` scores the held-out fold. The
+    first failed cell in (repeat, fold) order is reported; an exception
+    raised by ``train_fn`` itself fails the first cell of its call.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if max_batch is not None and max_batch < 1:
+        raise ValueError("max_batch must be >= 1")
 
     cells = []
     for r in range(repeats):
         plan = stratified_kfold(data, k, seed ^ r)
-        for fold in range(k):
-            cells.append((r, fold, plan.assignments.copy()))
+        cells += [(r, fold, plan.assignments == fold) for fold in range(k)]
+    calls = -(-len(cells) // (max_batch or len(cells)))
+    bounds = [len(cells) * i // calls for i in range(calls + 1)]  # near-equal calls
+    def failure(r, fold, exc):
+        return RuntimeError(f"CV cell failed at repeat {r}, fold {fold}: {exc}")
 
-    def run_cell(cell):
-        r, fold, assignments = cell
-        test_mask = assignments == fold
-        train_idx = np.flatnonzero(~test_mask)
-        test_idx = np.flatnonzero(test_mask)
-        stats = fit_scaler(data.features, scaling, train_idx)
-        X = apply_scaler(data.features, scaling, stats)
-        cell_seed = (seed ^ r) * 1000 + fold
+    flat = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = cells[lo:hi]
+        train_Xs, train_ys, seeds, held_out = [], [], [], []
+        for r, fold, test_mask in batch:
+            train_idx = np.flatnonzero(~test_mask)
+            stats = fit_scaler(data.features, scaling, train_idx)
+            X = apply_scaler(data.features, scaling, stats)
+            train_Xs.append(X[train_idx])
+            train_ys.append(data.labels[train_idx])
+            seeds.append((seed ^ r) * 1000 + fold)
+            held_out.append((X[test_mask], data.labels[test_mask]))
         try:
-            predictor = train_fn(X[train_idx], data.labels[train_idx], cell_seed)
-            return float(metric_fn(predictor, X[test_idx], data.labels[test_idx]))
+            predictors = train_fn(train_Xs, train_ys, seeds)
+            if len(predictors) != len(batch):
+                raise ValueError(f"train_fn returned {len(predictors)} predictors "
+                                 f"for {len(batch)} cells")
         except Exception as exc:
-            raise RuntimeError(f"CV cell failed at repeat {r}, fold {fold}: {exc}") from exc
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(run_cell, cells))
-    else:
-        flat = [run_cell(c) for c in cells]
+            raise failure(*batch[0][:2], exc) from exc
+        for (r, fold, _), (test_X, test_y), predictor in zip(batch, held_out, predictors):
+            try:
+                if isinstance(predictor, Exception):
+                    raise predictor
+                flat.append(float(metric_fn(predictor, test_X, test_y)))
+            except Exception as exc:
+                raise failure(r, fold, exc) from exc
 
     fold_scores = [flat[r * k:(r + 1) * k] for r in range(repeats)]
     return CvReport(k=k, repeats=repeats, seed=seed, scaling=scaling,

@@ -4,6 +4,10 @@ Supports ReLU/Sigmoid activations and inverted dropout; a model's parameters
 live in one flat vector with per-layer views. The forward pass records what
 the backward pass needs (pre-activations, pre- and post-dropout activations,
 dropout masks) for plain reverse-mode accumulation of any scalar loss.
+
+A stacked model (`MlpModel.stack`) holds B models of one architecture as a
+(B, P) flat array; forward and backward then carry a leading model axis and
+run every model with batched matmuls.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class Layer:
     def __post_init__(self):
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.weights.shape[0] != self.biases.shape[0]:
+        if self.weights.shape[:-1] != self.biases.shape:
             raise ValueError("weights/biases shape mismatch")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
             raise ValueError("non-finite parameters")
@@ -50,33 +54,53 @@ class MlpModel:
     layers: list[Layer]
     seed: int = 0
     # every layer's weights then biases, in order; each Layer.weights and
-    # Layer.biases is a view into it, so writes through either reach both
+    # Layer.biases is a view into it, so writes through either reach both.
+    # A stacked model has one such row per model: flat is (B, P), weights
+    # (B, out, in) and biases (B, out).
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        lead = self.layers[0].biases.shape[:-1]
         for prev, nxt in zip(self.layers, self.layers[1:]):
-            if nxt.weights.shape[1] != prev.weights.shape[0]:
+            if nxt.weights.shape[-1] != prev.weights.shape[-2]:
                 raise ValueError("incompatible consecutive layer dimensions")
         last = self.layers[-1]
-        if last.weights.shape[0] != 1 or last.activation is not Activation.SIGMOID:
+        if last.weights.shape[-2] != 1 or last.activation is not Activation.SIGMOID:
             raise ValueError("final layer must have width 1 and sigmoid activation")
-        self.flat = np.concatenate([p.ravel() for p in self.parameters()], dtype=float)
+        self.flat = np.concatenate([p.reshape(lead + (-1,)) for p in self.parameters()],
+                                   axis=-1, dtype=float)
         for layer, (w, b) in zip(self.layers, self.views(self.flat)):
             layer.weights, layer.biases = w, b
 
+    @classmethod
+    def stack(cls, models: list["MlpModel"]) -> "MlpModel":
+        """One stacked model whose row b is a copy of models[b]'s `flat`."""
+        first = models[0]
+        if any([(l.weights.shape, l.activation, l.dropout_rate) for l in m.layers]
+               != [(l.weights.shape, l.activation, l.dropout_rate) for l in first.layers]
+               for m in models):
+            raise ValueError("stacked models must share one architecture")
+        return cls(layers=[Layer(np.stack([m.layers[i].weights for m in models]),
+                                 np.stack([m.layers[i].biases for m in models]),
+                                 l.activation, l.dropout_rate)
+                           for i, l in enumerate(first.layers)],
+                   seed=first.seed)
+
     def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (weights, biases) views of a vector laid out like `flat`."""
+        """Per-layer (weights, biases) views of an array laid out like `flat`
+        (rows of a (B, P) array give (B, out, in) and (B, out) views)."""
         out, pos = [], 0
+        lead = vec.shape[:-1]
         for l in self.layers:
-            n_out, n_in = l.weights.shape
-            out.append((vec[pos:pos + n_out * n_in].reshape(n_out, n_in),
-                        vec[pos + n_out * n_in:pos + n_out * (n_in + 1)]))
+            n_out, n_in = l.weights.shape[-2:]
+            out.append((vec[..., pos:pos + n_out * n_in].reshape(lead + (n_out, n_in)),
+                        vec[..., pos + n_out * n_in:pos + n_out * (n_in + 1)]))
             pos += n_out * (n_in + 1)
         return out
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.layers[0].weights.shape[-1]
 
     def copy(self) -> "MlpModel":
         # the new model copies these views into a buffer of its own
@@ -94,15 +118,15 @@ class MlpModel:
 class ForwardTrace:
     """Per-layer bookkeeping from one forward pass over a batch."""
 
-    inputs: np.ndarray                 # (n, d)
-    pre_activations: list[np.ndarray]  # each (n, width)
+    inputs: np.ndarray                 # (n, d), or (B, n, d) for a stacked model
+    pre_activations: list[np.ndarray]  # each (n, width) or (B, n, width)
     raw_activations: list[np.ndarray]  # before dropout
     activations: list[np.ndarray]      # after dropout
     masks: list[np.ndarray | None]     # inverted-dropout masks, None where none applied
-    output: np.ndarray = field(init=False)  # (n,) probabilities
+    output: np.ndarray = field(init=False)  # (n,) or (B, n) probabilities
 
     def __post_init__(self):
-        self.output = self.activations[-1][:, 0]
+        self.output = self.activations[-1][..., 0]
 
 
 def forward_single_layer(weights: np.ndarray, x: np.ndarray) -> float:
@@ -115,37 +139,46 @@ def forward_single_layer(weights: np.ndarray, x: np.ndarray) -> float:
 
 
 def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
-            rng: np.random.Generator | None = None) -> ForwardTrace:
+            rng: np.random.Generator | None = None,
+            masks: list[np.ndarray | None] | None = None) -> ForwardTrace:
     """Run the network over one instance (1-D input) or a batch (2-D).
 
-    Train mode applies inverted dropout after each activation using the
-    provided generator; Infer mode is deterministic and applies no masks.
+    A stacked model takes a (B, n, d) batch per model, or one (n, d) batch
+    that every model sees, and returns (B, n) outputs.
+
+    Train mode applies inverted dropout after each activation, with masks
+    drawn from the provided generator or, when given, taken from `masks`
+    (one per layer, None where the layer has no dropout); Infer mode is
+    deterministic and applies no masks.
     """
     xa = np.atleast_2d(np.asarray(x, dtype=float))
-    if xa.shape[1] != model.input_dim:
-        raise ValueError(f"input dim {xa.shape[1]} != model input dim {model.input_dim}")
+    if xa.shape[-1] != model.input_dim:
+        raise ValueError(f"input dim {xa.shape[-1]} != model input dim {model.input_dim}")
     if not np.isfinite(xa).all():
         raise ValueError("non-finite input")
-    if mode is Mode.TRAIN and rng is None:
+    if mode is Mode.TRAIN and rng is None and masks is None:
         raise ValueError("Train mode requires a random generator")
 
-    pre, raw, act, masks = [], [], [], []
+    pre, raw, act, used = [], [], [], []
     a = xa
-    for layer in model.layers:
-        z = a @ layer.weights.T + layer.biases
+    for i, layer in enumerate(model.layers):
+        z = np.matmul(a, layer.weights.swapaxes(-1, -2)) + layer.biases[..., None, :]
         h = np.maximum(z, 0.0) if layer.activation is Activation.RELU else sigmoid(z)
         pre.append(z)
         raw.append(h)
         mask = None
         if mode is Mode.TRAIN and layer.dropout_rate > 0.0:
-            keep = 1.0 - layer.dropout_rate
-            mask = (rng.random(h.shape) < keep) / keep
+            if masks is not None:
+                mask = masks[i]
+            else:
+                keep = 1.0 - layer.dropout_rate
+                mask = (rng.random(h.shape) < keep) / keep
             h = h * mask
         act.append(h)
-        masks.append(mask)
+        used.append(mask)
         a = h
     return ForwardTrace(inputs=xa, pre_activations=pre, raw_activations=raw,
-                        activations=act, masks=masks)
+                        activations=act, masks=used)
 
 
 class Gradients(list):
@@ -158,26 +191,31 @@ class Gradients(list):
 
 
 def backward(trace: ForwardTrace, model: MlpModel,
-             dloss_dy: float | np.ndarray) -> Gradients:
+             dloss_dy: float | np.ndarray, out: Gradients | None = None) -> Gradients:
     """Reverse-mode accumulation of d(loss)/d(parameters).
 
     ``dloss_dy`` is the loss derivative with respect to each instance's
-    output probability (scalar for a single instance, vector for a batch);
-    gradients are summed over the batch, so pre-scale by 1/n for a mean
-    loss. Returns [(dW, db), ...] per layer, as views of one fresh vector.
+    output probability (scalar for a single instance, shaped like
+    `trace.output` for a batch); gradients are summed over the batch (per
+    model, for a stacked model), so pre-scale by 1/n for a mean loss.
+    Returns [(dW, db), ...] per layer, as views of one array laid out like
+    `model.flat`: a fresh one, or `out` (an earlier result for this model)
+    overwritten.
     """
     if len(trace.pre_activations) != len(model.layers):
         raise ValueError("trace/model layer count mismatch")
-    n = trace.inputs.shape[0]
-    seed = np.asarray(dloss_dy, dtype=float).reshape(-1)
-    if seed.size == 1 and n > 1:
-        seed = np.full(n, seed[0])
-    if seed.size != n:
+    seed = np.asarray(dloss_dy, dtype=float)
+    if seed.size == 1:
+        seed = np.full(trace.output.shape, seed.item())
+    if seed.size != trace.output.size:
         raise ValueError("dloss_dy length does not match the traced batch")
 
-    flat = np.empty_like(model.flat)
-    grads = Gradients(model.views(flat), flat)
-    delta = seed[:, None]  # (n, width) running dLoss/d(post-dropout activation)
+    grads = out
+    if grads is None:
+        flat = np.empty_like(model.flat)
+        grads = Gradients(model.views(flat), flat)
+    # running dLoss/d(post-dropout activation), (..., n, width)
+    delta = seed.reshape(trace.output.shape)[..., None]
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         if trace.masks[i] is not None:
@@ -189,8 +227,9 @@ def backward(trace: ForwardTrace, model: MlpModel,
             a = trace.raw_activations[i]
             dz = delta * (a * (1.0 - a))
         dw, db = grads[i]
-        np.matmul(dz.T, trace.inputs if i == 0 else trace.activations[i - 1], out=dw)
-        dz.sum(axis=0, out=db)
+        np.matmul(dz.swapaxes(-1, -2),
+                  trace.inputs if i == 0 else trace.activations[i - 1], out=dw)
+        dz.sum(axis=-2, out=db)
         if i > 0:
             delta = dz @ layer.weights
     return grads
@@ -243,7 +282,8 @@ def build_boundary_model(input_dim: int, seed: int) -> MlpModel:
 
 
 def predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Deterministic inference probabilities for a batch."""
+    """Deterministic inference probabilities for a batch ((B, n) for a
+    stacked model)."""
     return forward(model, X, Mode.INFER).output
 
 

@@ -8,6 +8,7 @@ atomically (write to a temp name, then rename).
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 
@@ -28,13 +29,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, chunks) -> None:
+    """Write the strings `chunks` in turn to a temp file beside `path`,
+    then rename it over `path`."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,21 +66,26 @@ def render_report(sections: dict) -> str:
 
 
 def write_report(path: str, sections: dict) -> None:
-    atomic_write(path, render_report(sections))
+    atomic_write(path, [render_report(sections)])
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
     """Rectangular CSV with a header row; floats serialized with repr so
-    identical runs emit identical bytes."""
+    identical runs emit identical bytes. The rows (a sequence) are
+    formatted and written in blocks, never held as one string."""
     ncols = len(header)
-    out = [",".join(header)]
-    for row in rows:
+
+    def line(row) -> str:
         if len(row) != ncols:
             raise ValueError(f"ragged row: {row!r}")
-        out.append(",".join(_fmt(v) for v in row))
-    atomic_write(path, "\n".join(out) + "\n")
+        return ",".join(map(_fmt, row)) + "\n"
+
+    block = 4096
+    atomic_write(path, itertools.chain(
+        [",".join(header) + "\n"],
+        ("".join(map(line, rows[lo:lo + block])) for lo in range(0, len(rows), block))))
 
 
 def write_meta(path: str, elapsed_seconds: float, version: str) -> None:
-    atomic_write(path, f"toolkit_version: {version}\n"
-                       f"elapsed_seconds: {elapsed_seconds:.3f}\n")
+    atomic_write(path, [f"toolkit_version: {version}\n"
+                        f"elapsed_seconds: {elapsed_seconds:.3f}\n"])

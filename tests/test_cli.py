@@ -315,6 +315,31 @@ class TestRiskCommand:
                      "--confidence", "0.5,0.5",
                      "--confidence-column", "0"]) == 1
 
+    def test_non_probability_column_rejected_before_training(self, tmp_path, capsys,
+                                                            monkeypatch):
+        import xmargin.cli as cli_mod
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the confidence column")
+
+        monkeypatch.setattr(cli_mod, "train_loop", no_training)
+        root = os.path.join(os.path.dirname(__file__), "..")
+        assert main(["risk", "--config", os.path.join(root, "presets", "sonar_table1.cfg"),
+                     "--confidence-column", "3",
+                     "--override", f"dataset={os.path.join(root, 'data', 'sonar_standin.csv')}",
+                     "--override", f"output_dir={tmp_path}"]) == 1
+        assert "confidence column 3" in capsys.readouterr().err
+        assert not (tmp_path / "risk.csv").exists()
+
+    def test_probability_column_accepted(self, workspace):
+        lines = workspace["data"].read_text().splitlines()
+        rng = np.random.default_rng(1)
+        workspace["data"].write_text("\n".join(f"{rng.random():.4f},{line}"
+                                               for line in lines) + "\n")
+        assert main(["risk", "--config", str(workspace["cfg"]),
+                     "--confidence-column", "0", "--override", "epochs=1"]) == 0
+        assert len((workspace["out"] / "risk.csv").read_text().splitlines()) == 1 + 12
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, workspace):

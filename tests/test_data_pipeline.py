@@ -220,8 +220,8 @@ class TestCvReport:
         assert rep.std_envelope == (pytest.approx(0.0), pytest.approx(0.1))
 
 
-def constant_train_fn(X, y, cell_seed):
-    return lambda Xe: np.full(len(Xe), 0.75)
+def constant_train_fn(Xs, ys, cell_seeds):
+    return [lambda Xe: np.full(len(Xe), 0.75) for _ in Xs]
 
 
 def accuracy_metric(predictor, X, y):
@@ -242,10 +242,10 @@ class TestRepeatedCv:
     def test_deterministic(self):
         data = toy_dataset(n0=12, n1=12)
 
-        def tfn(X, y, cell_seed):
-            rng = np.random.default_rng(cell_seed)
-            w = rng.normal(size=X.shape[1])
-            return lambda Xe: 1.0 / (1.0 + np.exp(-(Xe @ w)))
+        def tfn(Xs, ys, cell_seeds):
+            ws = [np.random.default_rng(s).normal(size=X.shape[1])
+                  for X, s in zip(Xs, cell_seeds)]
+            return [lambda Xe, w=w: 1.0 / (1.0 + np.exp(-(Xe @ w))) for w in ws]
 
         a = repeated_cv(data, 3, 3, tfn, accuracy_metric, seed=11)
         b = repeated_cv(data, 3, 3, tfn, accuracy_metric, seed=11)
@@ -254,7 +254,7 @@ class TestRepeatedCv:
     def test_cell_failure_is_annotated(self):
         data = toy_dataset(n0=6, n1=6)
 
-        def bad_fn(X, y, cell_seed):
+        def bad_fn(Xs, ys, cell_seeds):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match=r"repeat 0, fold 0"):
@@ -267,9 +267,9 @@ class TestRepeatedCv:
         seen = {}
 
         def recording_fn(tag):
-            def fn(X, y, cell_seed):
-                seen.setdefault(tag, []).append(X.copy())
-                return lambda Xe: np.full(len(Xe), 0.75)
+            def fn(Xs, ys, cell_seeds):
+                seen.setdefault(tag, []).extend(X.copy() for X in Xs)
+                return [lambda Xe: np.full(len(Xe), 0.75) for _ in Xs]
             return fn
 
         repeated_cv(base, 2, 1, recording_fn("a"), accuracy_metric,
@@ -289,23 +289,3 @@ class TestRepeatedCv:
         assert np.array_equal(seen["a"][1], seen["b"][1])
         # when the victim is inside the training folds the stats must differ
         assert not np.array_equal(seen["a"][0], seen["b"][0])
-
-    def test_thread_fanout_matches_sequential(self, monkeypatch):
-        data = toy_dataset(n0=12, n1=12)
-
-        def tfn(X, y, cell_seed):
-            rng = np.random.default_rng(cell_seed)
-            w = rng.normal(size=X.shape[1])
-            return lambda Xe: 1.0 / (1.0 + np.exp(-(Xe @ w)))
-
-        monkeypatch.delenv("XMARGIN_THREADS", raising=False)
-        seq = repeated_cv(data, 3, 4, tfn, accuracy_metric, seed=9)
-        monkeypatch.setenv("XMARGIN_THREADS", "4")
-        par = repeated_cv(data, 3, 4, tfn, accuracy_metric, seed=9)
-        assert seq.fold_scores == par.fold_scores
-
-    def test_bad_threads_value(self, monkeypatch):
-        data = toy_dataset(n0=6, n1=6)
-        monkeypatch.setenv("XMARGIN_THREADS", "lots")
-        with pytest.raises(ValueError, match="XMARGIN_THREADS"):
-            repeated_cv(data, 2, 1, constant_train_fn, accuracy_metric, seed=0)
