@@ -49,33 +49,34 @@ def _fit(build, cfg: ExperimentConfig, X, y, seed: int,
                       rng=np.random.default_rng(seed), **eval_data)
 
 
-def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds,
-              params: LossParams | None = None) -> list:
-    """`_fit` for many (X, y, seed) at once, trained as one stacked batch;
-    one TrainResult, or the exception that model failed with, per seed."""
-    return train_models([build(X.shape[1], seed) for X, seed in zip(Xs, seeds)],
-                        Xs, ys, params or cfg.loss_params(), cfg.optimizer_config(),
-                        epochs=cfg.epochs, batch_size=cfg.batch_size,
-                        rngs=[np.random.default_rng(seed) for seed in seeds])
-
-
-# Parameters trained as one stack by `cv` and `grid`. Each stacked model of
-# the sonar experiment (6657 parameters) adds about 0.8 MB to the peak memory
-# of `xmargin cv`; a stack of three keeps that peak at the level of training
-# one model at a time while taking most of the speed-up.
+# Parameters trained as one stack. Each stacked model of the sonar experiment
+# (6657 parameters) adds about 0.8 MB to the peak memory of `xmargin cv`; a
+# stack of three keeps that peak at the level of training one model at a
+# time while taking most of the speed-up.
 STACK_PARAMS = 3 * 6657
 
 
-def _cv_batch(data: Dataset) -> int:
-    """CV cells trained per stack: as many experiment models as fit in
-    STACK_PARAMS."""
-    return max(1, STACK_PARAMS // build_experiment_model(data.d, 0).flat.size)
+def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds,
+              params: LossParams | None = None):
+    """`_fit` for many (X, y, seed), in order: yields one TrainResult, or the
+    exception that model failed with, per seed. The models are trained in
+    stacks of at most STACK_PARAMS parameters, so the memory that training
+    takes does not grow with their number."""
+    per_stack = max(1, STACK_PARAMS // build(Xs[0].shape[1], seeds[0]).flat.size)
+    for lo in range(0, len(seeds), per_stack):
+        part = slice(lo, lo + per_stack)
+        yield from train_models([build(X.shape[1], seed) for X, seed in
+                                 zip(Xs[part], seeds[part])],
+                                Xs[part], ys[part], params or cfg.loss_params(),
+                                cfg.optimizer_config(), epochs=cfg.epochs,
+                                batch_size=cfg.batch_size,
+                                rngs=[np.random.default_rng(seed) for seed in seeds[part]])
 
 
 def _train_predictor_fn(cfg: ExperimentConfig):
     """A train_fn for repeated_cv: trains the fixed experiment model for
-    every cell as one stacked batch and returns their inference
-    predictors (or the exception a cell failed with)."""
+    every cell in stacks and returns their inference predictors (or the
+    exception a cell failed with)."""
 
     def train_fn(Xs, ys, cell_seeds):
         return [r if isinstance(r, Exception) else functools.partial(predict_proba, r.model)
@@ -138,8 +139,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
 def cmd_cv(cfg: ExperimentConfig) -> dict:
     data = _load_dataset(cfg)
     report = repeated_cv(data, cfg.k, cfg.repeats, _train_predictor_fn(cfg),
-                         _accuracy_metric, cfg.seed, scaling=cfg.scaling,
-                         max_batch=_cv_batch(data))
+                         _accuracy_metric, cfg.seed, scaling=cfg.scaling)
     return {
         "command": "cv",
         "metric": "accuracy",
@@ -163,8 +163,7 @@ def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[tuple[float, float]]) -> d
         cell_cfg = dataclasses.replace(cfg, lambda1=l1, lambda2=l2)
         try:
             rep = repeated_cv(data, cfg.k, cfg.repeats, _train_predictor_fn(cell_cfg),
-                              _accuracy_metric, cfg.seed, scaling=cfg.scaling,
-                              max_batch=_cv_batch(data))
+                              _accuracy_metric, cfg.seed, scaling=cfg.scaling)
             mean = float(np.mean(rep.repeat_means))
             std = float(np.mean(rep.repeat_stds))
             rows.append((l1, l2, mean, std, "ok"))
@@ -288,12 +287,13 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
     warnings = []
     seeds = [cfg.seed + 7919 * (member + 1) for member in range(ensemble_size)]
     for params in variants:
-        results = _fit_many(build_experiment_model, cfg, [Xtr] * ensemble_size,
-                            [ytr] * ensemble_size, seeds, params)
-        for result in results:
+        preds = []
+        for result in _fit_many(build_experiment_model, cfg, [Xtr] * ensemble_size,
+                                [ytr] * ensemble_size, seeds, params):
             if isinstance(result, Exception):
                 raise result
-        preds = np.array([predict_proba(result.model, Xte) for result in results])
+            preds.append(predict_proba(result.model, Xte))
+        preds = np.array(preds)
         if np.allclose(preds, preds[0], atol=0.0):
             warnings.append(f"degenerate ensemble for {params.family.value}: "
                             "all members produced identical predictions")

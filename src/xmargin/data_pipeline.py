@@ -218,60 +218,55 @@ class CvReport:
 
 
 def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
-                seed: int, scaling: Scaling = Scaling.MINMAX,
-                max_batch: int | None = None) -> CvReport:
+                seed: int, scaling: Scaling = Scaling.MINMAX) -> CvReport:
     """Repeated stratified k-fold cross-validation.
 
     Per repeat r a fresh FoldPlan is drawn with seed ``seed ^ r``; for each
-    fold, scaling is fitted on the k-1 training folds. Cells are handed to
-    ``train_fn(train_Xs, train_ys, cell_seeds)`` in (repeat, fold) order,
-    all in one call or, with ``max_batch``, at most that many per call
-    (fewer cells in memory at once). It returns per cell a predictor
-    (callable X -> probability vector) or the exception the cell failed
-    with; ``metric_fn(predictor, X, y)`` scores the held-out fold. The
-    first failed cell in (repeat, fold) order is reported; an exception
-    raised by ``train_fn`` itself fails the first cell of its call.
+    fold, scaling is fitted on the k-1 training folds. Every cell is handed
+    to one ``train_fn(train_Xs, train_ys, cell_seeds)`` call, as lists in
+    (repeat, fold) order; it returns per cell a predictor (callable X ->
+    probability vector) or the exception the cell failed with, and
+    ``metric_fn(predictor, X, y)`` scores the held-out fold. The first
+    failed cell in (repeat, fold) order is reported; an exception raised by
+    ``train_fn`` itself fails the first cell.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if max_batch is not None and max_batch < 1:
-        raise ValueError("max_batch must be >= 1")
 
-    cells = []
+    cells = []  # (repeat, fold, held-out mask, scaler statistics)
+    train_Xs, train_ys, seeds = [], [], []
     for r in range(repeats):
         plan = stratified_kfold(data, k, seed ^ r)
-        cells += [(r, fold, plan.assignments == fold) for fold in range(k)]
-    calls = -(-len(cells) // (max_batch or len(cells)))
-    bounds = [len(cells) * i // calls for i in range(calls + 1)]  # near-equal calls
+        for fold in range(k):
+            test_mask = plan.assignments == fold
+            train_idx = np.flatnonzero(~test_mask)
+            stats = fit_scaler(data.features, scaling, train_idx)
+            cells.append((r, fold, test_mask, stats))
+            train_Xs.append(apply_scaler(data.features[train_idx], scaling, stats))
+            train_ys.append(data.labels[train_idx])
+            seeds.append((seed ^ r) * 1000 + fold)
+
     def failure(r, fold, exc):
         return RuntimeError(f"CV cell failed at repeat {r}, fold {fold}: {exc}")
 
+    try:
+        predictors = train_fn(train_Xs, train_ys, seeds)
+        if len(predictors) != len(cells):
+            raise ValueError(f"train_fn returned {len(predictors)} predictors "
+                             f"for {len(cells)} cells")
+    except Exception as exc:
+        raise failure(*cells[0][:2], exc) from exc
     flat = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        batch = cells[lo:hi]
-        train_Xs, train_ys, seeds, held_out = [], [], [], []
-        for r, fold, test_mask in batch:
-            train_idx = np.flatnonzero(~test_mask)
-            stats = fit_scaler(data.features, scaling, train_idx)
-            X = apply_scaler(data.features, scaling, stats)
-            train_Xs.append(X[train_idx])
-            train_ys.append(data.labels[train_idx])
-            seeds.append((seed ^ r) * 1000 + fold)
-            held_out.append((X[test_mask], data.labels[test_mask]))
+    # held-out rows are scaled when scored, so only training matrices are
+    # held for every cell at once
+    for (r, fold, test_mask, stats), predictor in zip(cells, predictors):
         try:
-            predictors = train_fn(train_Xs, train_ys, seeds)
-            if len(predictors) != len(batch):
-                raise ValueError(f"train_fn returned {len(predictors)} predictors "
-                                 f"for {len(batch)} cells")
+            if isinstance(predictor, Exception):
+                raise predictor
+            test_X = apply_scaler(data.features[test_mask], scaling, stats)
+            flat.append(float(metric_fn(predictor, test_X, data.labels[test_mask])))
         except Exception as exc:
-            raise failure(*batch[0][:2], exc) from exc
-        for (r, fold, _), (test_X, test_y), predictor in zip(batch, held_out, predictors):
-            try:
-                if isinstance(predictor, Exception):
-                    raise predictor
-                flat.append(float(metric_fn(predictor, test_X, test_y)))
-            except Exception as exc:
-                raise failure(r, fold, exc) from exc
+            raise failure(r, fold, exc) from exc
 
     fold_scores = [flat[r * k:(r + 1) * k] for r in range(repeats)]
     return CvReport(k=k, repeats=repeats, seed=seed, scaling=scaling,

@@ -310,10 +310,9 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
             if width == 0:
                 continue
             lo = s * batch_size
-            uniform = min(per_model) == width
             # each model's rows, gathered from its own matrix; padding is 0
-            xb = (np.empty if uniform else np.zeros)((n_models, width, d))
-            yb = (np.empty if uniform else np.zeros)((n_models, width))
+            xb = np.zeros((n_models, width, d))
+            yb = np.zeros((n_models, width))
             for b, rows_b in enumerate(per_model):
                 if rows_b:
                     np.take(Xs[b], order[b, lo:lo + rows_b], axis=0, out=xb[b, :rows_b])
@@ -324,17 +323,12 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
             trace = forward(stack, xb, Mode.TRAIN, masks=layer_masks)
             vals, dvals = loss_and_grad_vec(trace.output, yb, loss)
             cnt = counts[:, s]
-            rows = None  # the models taking this step, unless all of them
-            if uniform:
-                batch_mean = vals.mean(axis=-1)
-                dvals = dvals / width
-            else:
-                real = np.arange(width) < cnt[:, None]
-                used = np.maximum(cnt, 1)
-                batch_mean = np.where(real, vals, 0.0).sum(axis=-1) / used
-                dvals = np.where(real, dvals, 0.0) / used[:, None]
-                if not cnt.all():
-                    rows = cnt > 0
+            # padding rows weigh 0; each model's mean is over its real rows
+            real = np.arange(width) < cnt[:, None]
+            used = np.maximum(cnt, 1)
+            batch_mean = np.where(real, vals, 0.0).sum(axis=-1) / used
+            dvals = np.where(real, dvals, 0.0) / used[:, None]
+            rows = None if cnt.all() else cnt > 0  # the models taking this step
             # losses are bounded, so their sum is finite exactly when each is
             if not math.isfinite(batch_mean.sum()):
                 for b in np.flatnonzero(~np.isfinite(batch_mean) & (cnt > 0)):

@@ -135,10 +135,8 @@ class TestAgainstPerModelTraining:
         config = CONFIGS[name]
         data = thirteen_rows()
         expected = repeated_cv(data, 3, 2, oracle_fn(config), accuracy_metric, seed=3)
-        for max_batch in (None, 2, 4):
-            got = repeated_cv(data, 3, 2, stacked_fn(config), accuracy_metric, seed=3,
-                              max_batch=max_batch)
-            assert got.fold_scores == expected.fold_scores
+        got = repeated_cv(data, 3, 2, stacked_fn(config), accuracy_metric, seed=3)
+        assert got.fold_scores == expected.fold_scores
 
     def test_single_model_api_is_one_stacked_model(self):
         X, y = unequal_training_sets()
@@ -195,17 +193,15 @@ class TestFailures:
         assert "non-empty" in str(out[2])
         assert np.isfinite(out[1].model.flat).all()
 
-    @pytest.mark.parametrize("max_batch", [None, 2])
-    def test_stacked_cell_failure_names_its_cell(self, max_batch):
+    def test_stacked_cell_failure_names_its_cell(self):
         data = thirteen_rows()
         # cell (repeat 1, fold 0) has seed (3 ^ 1) * 1000 + 0
         with pytest.raises(RuntimeError, match=r"^CV cell failed at repeat 1, fold 0: "
                                                r"non-finite training loss"):
             repeated_cv(data, 3, 2, stacked_fn(CONFIGS["rmsprop"], sabotage_seed=2000),
-                        accuracy_metric, seed=3, max_batch=max_batch)
+                        accuracy_metric, seed=3)
 
-    @pytest.mark.parametrize("max_batch", [None, 2])
-    def test_first_failed_cell_in_order_is_reported(self, max_batch):
+    def test_first_failed_cell_in_order_is_reported(self):
         data = thirteen_rows()
         failing_training = {2001, 3002}   # cells (1, 1) and (0, 2)
         failing_metric = {3001}           # cell (0, 1)
@@ -221,10 +217,10 @@ class TestFailures:
             return accuracy_metric(predictor, X, y)
 
         with pytest.raises(RuntimeError, match=r"repeat 0, fold 1: metric 3001"):
-            repeated_cv(data, 3, 2, train_fn, metric, seed=3, max_batch=max_batch)
+            repeated_cv(data, 3, 2, train_fn, metric, seed=3)
         failing_metric.clear()
         with pytest.raises(RuntimeError, match=r"repeat 0, fold 2: training 3002"):
-            repeated_cv(data, 3, 2, train_fn, metric, seed=3, max_batch=max_batch)
+            repeated_cv(data, 3, 2, train_fn, metric, seed=3)
 
 
 class TestStackedNetwork:
@@ -257,17 +253,44 @@ class TestStackedNetwork:
             MlpModel.stack([one, build_boundary_model(2, 0)])
 
 
-class TestStackedBiasEnsemble:
-    def test_members_match_members_trained_alone(self):
-        root = os.path.join(os.path.dirname(__file__), "..")
-        cfg = load_config(os.path.join(root, "presets", "sonar_table1.cfg"),
-                          ["epochs=3", f"dataset={os.path.join(root, 'data', 'sonar_standin.csv')}"])
+def sonar_config(*overrides):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    return load_config(os.path.join(root, "presets", "sonar_table1.cfg"),
+                       [*overrides, f"dataset={os.path.join(root, 'data', 'sonar_standin.csv')}"])
+
+
+class TestStacksOfTheCli:
+    """cli._fit_many splits its models into stacks of at most
+    cli.STACK_PARAMS parameters; the split must not change any result."""
+
+    def test_ensemble_larger_than_one_stack_matches_members_alone(self, monkeypatch):
+        cfg = sonar_config("epochs=3")
         data = cli._load_dataset(cfg)
         Xtr, ytr, Xte, _, _ = cli._split_and_scale(cfg, data)
-        seeds = [cfg.seed + 7919 * (m + 1) for m in range(3)]
-        stacked = cli._fit_many(build_experiment_model, cfg, [Xtr] * 3, [ytr] * 3, seeds)
+        seeds = [cfg.seed + 7919 * (m + 1) for m in range(5)]
+        stacks = []
+
+        def recording(models, *args, **kwargs):
+            stacks.append(len(models))
+            return train_models(models, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_models", recording)
+        stacked = list(cli._fit_many(build_experiment_model, cfg, [Xtr] * 5, [ytr] * 5,
+                                     seeds))
+        assert stacks == [3, 2]
         for res, s in zip(stacked, seeds):
             alone = cli._fit(build_experiment_model, cfg, Xtr, ytr, s)
             assert np.max(np.abs(res.model.flat - alone.model.flat)) <= 1e-12
             assert np.max(np.abs(predict_proba(res.model, Xte)
                                  - predict_proba(alone.model, Xte))) <= 1e-12
+
+    def test_cv_fold_scores_do_not_depend_on_stack_size(self, monkeypatch):
+        cfg = sonar_config("epochs=2", "k=3", "repeats=2")
+        data = cli._load_dataset(cfg)
+        scores = []
+        for stack_params in (1, 2 * 6657, 6 * 6657):  # stacks of 1, 2 and 6 models
+            monkeypatch.setattr(cli, "STACK_PARAMS", stack_params)
+            rep = repeated_cv(data, cfg.k, cfg.repeats, cli._train_predictor_fn(cfg),
+                              cli._accuracy_metric, cfg.seed, scaling=cfg.scaling)
+            scores.append(rep.fold_scores)
+        assert scores[0] == scores[1] == scores[2]
