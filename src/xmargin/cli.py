@@ -49,38 +49,55 @@ def _fit(build, cfg: ExperimentConfig, X, y, seed: int,
                       rng=np.random.default_rng(seed), **eval_data)
 
 
-# Parameters trained as one stack. Each stacked model of the sonar experiment
-# (6657 parameters) adds about 0.8 MB to the peak memory of `xmargin cv`; a
-# stack of three keeps that peak at the level of training one model at a
-# time while taking most of the speed-up.
-STACK_PARAMS = 3 * 6657
+# Parameters trained as one stack: five models of the sonar experiment (6657
+# parameters each). While it trains, a stacked RMSprop model holds five arrays
+# of its parameters' size (its row of the stack, the accumulators, the
+# best-iterate snapshot, the gradient and one work array) plus its share of
+# the minibatch activations and dropout draws, 7.9 parameter-sized arrays in
+# all. Each stacked model adds about 0.5 MB to the peak memory of
+# `xmargin cv` on sonar (38.3 MB one at a time, 40.2 MB in stacks of five,
+# 42.7 MB in stacks of ten), and stacks of five stay below the 40.9 MB that
+# stacks of three took when each model held 10.3 such arrays.
+STACK_PARAMS = 5 * 6657
 
 
 def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds,
               params: LossParams | None = None):
     """`_fit` for many (X, y, seed), in order: yields one TrainResult, or the
     exception that model failed with, per seed. The models are trained in
-    stacks of at most STACK_PARAMS parameters, so the memory that training
-    takes does not grow with their number."""
-    per_stack = max(1, STACK_PARAMS // build(Xs[0].shape[1], seeds[0]).flat.size)
-    for lo in range(0, len(seeds), per_stack):
-        part = slice(lo, lo + per_stack)
-        yield from train_models([build(X.shape[1], seed) for X, seed in
-                                 zip(Xs[part], seeds[part])],
-                                Xs[part], ys[part], params or cfg.loss_params(),
-                                cfg.optimizer_config(), epochs=cfg.epochs,
-                                batch_size=cfg.batch_size,
-                                rngs=[np.random.default_rng(seed) for seed in seeds[part]])
+    stacks of at most STACK_PARAMS parameters, and each (X, y, seed) is read
+    when its stack is built, so neither the memory that training takes nor
+    the training data held at once grows with their number."""
+
+    def train(stack):
+        models, part_Xs, part_ys, part_seeds = zip(*stack)
+        return train_models(list(models), part_Xs, part_ys, params or cfg.loss_params(),
+                            cfg.optimizer_config(), epochs=cfg.epochs,
+                            batch_size=cfg.batch_size,
+                            rngs=[np.random.default_rng(seed) for seed in part_seeds])
+
+    stack = []
+    for X, y, seed in zip(Xs, ys, seeds):
+        stack.append((build(X.shape[1], seed), X, y, seed))
+        if (len(stack) + 1) * stack[0][0].flat.size > STACK_PARAMS:  # full
+            yield from train(stack)
+            stack = []
+    if stack:
+        yield from train(stack)
 
 
 def _train_predictor_fn(cfg: ExperimentConfig):
-    """A train_fn for repeated_cv: trains the fixed experiment model for
-    every cell in stacks and returns their inference predictors (or the
-    exception a cell failed with)."""
+    """A train_fn for repeated_cv: an iterator that trains the fixed
+    experiment model for the cells a stack at a time as it is read, giving
+    their inference predictors (or the exception a cell failed with). Unlike
+    a generator expression, `map` holds no earlier result while the next
+    stack trains."""
+
+    def predictor(r):
+        return r if isinstance(r, Exception) else functools.partial(predict_proba, r.model)
 
     def train_fn(Xs, ys, cell_seeds):
-        return [r if isinstance(r, Exception) else functools.partial(predict_proba, r.model)
-                for r in _fit_many(build_experiment_model, cfg, Xs, ys, cell_seeds)]
+        return map(predictor, _fit_many(build_experiment_model, cfg, Xs, ys, cell_seeds))
 
     return train_fn
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -217,56 +218,80 @@ class CvReport:
         return min(self.repeat_stds), max(self.repeat_stds)
 
 
+class _TrainingRows(Sequence):
+    """The scaled training matrix of each CV cell, scaled each time it is
+    read: whoever reads the cells holds only the matrices it keeps."""
+
+    def __init__(self, data: Dataset, scaling: Scaling, cells):
+        self._data, self._scaling, self._cells = data, scaling, cells
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        _, _, train_idx, _, stats = self._cells[i]
+        return apply_scaler(self._data.features[train_idx], self._scaling, stats)
+
+
 def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
                 seed: int, scaling: Scaling = Scaling.MINMAX) -> CvReport:
     """Repeated stratified k-fold cross-validation.
 
     Per repeat r a fresh FoldPlan is drawn with seed ``seed ^ r``; for each
     fold, scaling is fitted on the k-1 training folds. Every cell is handed
-    to one ``train_fn(train_Xs, train_ys, cell_seeds)`` call, as lists in
-    (repeat, fold) order; it returns per cell a predictor (callable X ->
+    to one ``train_fn(train_Xs, train_ys, cell_seeds)`` call, as sequences
+    in (repeat, fold) order; ``train_Xs`` scales a cell's training rows when
+    they are read, so a ``train_fn`` that reads its cells a few at a time
+    holds only those. It returns an iterable (a list, or an iterator that
+    trains as it is read) with per cell a predictor (callable X ->
     probability vector) or the exception the cell failed with, and
-    ``metric_fn(predictor, X, y)`` scores the held-out fold. The first
-    failed cell in (repeat, fold) order is reported; an exception raised by
-    ``train_fn`` itself fails the first cell.
+    ``metric_fn(predictor, X, y)`` scores each held-out fold as its
+    predictor arrives, which is then let go. The first failed cell in
+    (repeat, fold) order is reported; an exception raised by ``train_fn``
+    fails the cell whose predictor it was to give, the first cell when
+    raised by the call itself.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
-    cells = []  # (repeat, fold, held-out mask, scaler statistics)
-    train_Xs, train_ys, seeds = [], [], []
+    cells = []  # (repeat, fold, training rows, held-out mask, scaler statistics)
+    train_ys, seeds = [], []
     for r in range(repeats):
         plan = stratified_kfold(data, k, seed ^ r)
         for fold in range(k):
             test_mask = plan.assignments == fold
             train_idx = np.flatnonzero(~test_mask)
             stats = fit_scaler(data.features, scaling, train_idx)
-            cells.append((r, fold, test_mask, stats))
-            train_Xs.append(apply_scaler(data.features[train_idx], scaling, stats))
+            cells.append((r, fold, train_idx, test_mask, stats))
             train_ys.append(data.labels[train_idx])
             seeds.append((seed ^ r) * 1000 + fold)
+    train_Xs = _TrainingRows(data, scaling, cells)
 
     def failure(r, fold, exc):
         return RuntimeError(f"CV cell failed at repeat {r}, fold {fold}: {exc}")
 
     try:
-        predictors = train_fn(train_Xs, train_ys, seeds)
-        if len(predictors) != len(cells):
-            raise ValueError(f"train_fn returned {len(predictors)} predictors "
-                             f"for {len(cells)} cells")
+        predictors = iter(train_fn(train_Xs, train_ys, seeds))
     except Exception as exc:
         raise failure(*cells[0][:2], exc) from exc
     flat = []
-    # held-out rows are scaled when scored, so only training matrices are
-    # held for every cell at once
-    for (r, fold, test_mask, stats), predictor in zip(cells, predictors):
+    for r, fold, _, test_mask, stats in cells:
         try:
+            predictor = next(predictors, None)
+            if predictor is None:
+                raise ValueError(f"train_fn returned {len(flat)} predictors "
+                                 f"for {len(cells)} cells")
             if isinstance(predictor, Exception):
                 raise predictor
-            test_X = apply_scaler(data.features[test_mask], scaling, stats)
-            flat.append(float(metric_fn(predictor, test_X, data.labels[test_mask])))
+            flat.append(float(metric_fn(
+                predictor, apply_scaler(data.features[test_mask], scaling, stats),
+                data.labels[test_mask])))
         except Exception as exc:
             raise failure(r, fold, exc) from exc
+        del predictor  # not held while the next cells train
+    if next(predictors, None) is not None:
+        raise failure(*cells[0][:2], ValueError(
+            f"train_fn returned more predictors than the {len(cells)} cells"))
 
     fold_scores = [flat[r * k:(r + 1) * k] for r in range(repeats)]
     return CvReport(k=k, repeats=repeats, seed=seed, scaling=scaling,

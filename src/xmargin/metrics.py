@@ -86,15 +86,14 @@ def auc(scores_pos, scores_neg) -> float:
     m, n = scores_pos.size, scores_neg.size
     combined = np.concatenate([scores_pos, scores_neg])
     order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(m + n)
     sorted_vals = combined[order]
-    i = 0
-    while i < m + n:
-        j = i
-        while j + 1 < m + n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    # runs of tied values: a run starts wherever the sorted value changes
+    # (compared with !=, not a difference, so equal infinities tie)
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    lengths = np.diff(starts, append=m + n)
+    ranks = np.empty(m + n)
+    # midrank, 1-based: the mean of the run's first and last 0-based positions
+    ranks[order] = np.repeat(0.5 * (2 * starts + lengths - 1) + 1.0, lengths)
     rank_sum_pos = ranks[:m].sum()
     u = rank_sum_pos - m * (m + 1) / 2.0
     return float(u / (m * n))

@@ -67,9 +67,15 @@ class MlpModel:
         last = self.layers[-1]
         if last.weights.shape[-2] != 1 or last.activation is not Activation.SIGMOID:
             raise ValueError("final layer must have width 1 and sigmoid activation")
-        self.flat = np.concatenate([p.reshape(lead + (-1,)) for p in self.parameters()],
-                                   axis=-1, dtype=float)
-        for layer, (w, b) in zip(self.layers, self.views(self.flat)):
+        self.bind(np.concatenate([p.reshape(lead + (-1,)) for p in self.parameters()],
+                                 axis=-1, dtype=float))
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Make `flat`, laid out like this model's parameters, the model's
+        buffer: `flat` and every layer's weights and biases become views of
+        it, and the model lets go of its old buffer."""
+        self.flat = flat
+        for layer, (w, b) in zip(self.layers, self.views(flat)):
             layer.weights, layer.biases = w, b
 
     @classmethod

@@ -58,22 +58,28 @@ class OptimizerConfig:
 @dataclass
 class TrainState:
     """Optimizer state of one model, or of a stacked model (one row of
-    `accumulators`, `best_loss` and `best_params` per model)."""
+    `accumulators`, `best_loss` and `best_params` per model).
+
+    Besides the model's own `flat`, a stacked RMSprop run holds three arrays
+    shaped like it: the accumulators, the best-iterate snapshot and one work
+    array. The snapshot is one buffer for the whole run, overwritten in
+    place row by row, and never aliases `model.flat`."""
 
     model: MlpModel
     config: OptimizerConfig
     t: int = 0                              # optimizer steps taken
     accumulators: np.ndarray | None = None  # laid out like model.flat
     best_loss: float | np.ndarray = math.inf
-    best_params: np.ndarray | None = None   # a copy of model.flat
-    # work arrays shaped like model.flat, reused by every step: allocating
-    # them per step costs page faults once the model is stacked
-    scratch: list[np.ndarray] = field(default_factory=list, repr=False)
+    best_params: np.ndarray | None = None   # laid out like model.flat
+    # work array shaped like model.flat, reused by every step: allocating
+    # it per step costs page faults once the model is stacked
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
-    def _flat_grad(self, grads) -> np.ndarray:
+    def _flat_grad(self, grads, consume: bool = False) -> np.ndarray:
         """The [(dW, db), ...] bundle as one array laid out like the model's
-        `flat`; raises, before anything is updated, on a shape mismatch or a
-        non-finite entry."""
+        `flat`, which the step may overwrite; raises, before anything is
+        updated, on a shape mismatch or a non-finite entry. A `Gradients`
+        bundle gives a copy of its `flat`, or with `consume` that array."""
         arrays = [g for pair in grads for g in pair]
         shapes = [p.shape for p in self.model.parameters()]
         if [g.shape for g in arrays] != shapes:
@@ -84,18 +90,21 @@ class TrainState:
                                     axis=-1, dtype=float))
         if not np.isfinite(flat).all():
             raise ValueError("non-finite gradient; step rejected")
-        return flat
+        return flat.copy() if isinstance(grads, Gradients) and not consume else flat
 
     def note_loss(self, loss: float | np.ndarray) -> None:
-        """Snapshot each model whose minibatch loss is a new low; every
-        snapshot is a new array, so earlier ones are never overwritten."""
+        """Snapshot each model whose minibatch loss is a new low: its row of
+        `best_params` is overwritten in place with its current parameters,
+        and the other rows keep their earlier snapshots."""
         if not self.config.track_best:
             return
         better = np.less(loss, self.best_loss)
         if better.any():
             self.best_loss = np.where(better, loss, self.best_loss)
-            kept = self.model.flat if self.best_params is None else self.best_params
-            self.best_params = np.where(better[..., None], self.model.flat, kept)
+            if self.best_params is None:
+                self.best_params = self.model.flat.copy()
+            else:
+                np.copyto(self.best_params, self.model.flat, where=better[..., None])
 
     def best_model(self) -> MlpModel:
         if self.best_params is None:
@@ -105,31 +114,38 @@ class TrainState:
         return out
 
 
-def subgradient_step(state: TrainState, grads, alpha: float) -> TrainState:
-    """theta <- theta - alpha * g for every parameter; increments t."""
-    g = state._flat_grad(grads)
-    state.model.flat -= alpha * g
+def subgradient_step(state: TrainState, grads, alpha: float, *,
+                     consume: bool = False) -> TrainState:
+    """theta <- theta - alpha * g for every parameter; increments t. The
+    caller's gradients are left as they are, unless `consume` hands the
+    array of a `Gradients` bundle over to be overwritten."""
+    g = state._flat_grad(grads, consume)
+    np.multiply(alpha, g, out=g)
+    state.model.flat -= g
     state.t += 1
     return state
 
 
-def rmsprop_step(state: TrainState, grads, config: OptimizerConfig) -> TrainState:
-    """v <- decay*v + (1-decay)*g^2; theta <- theta - alpha*g/(sqrt(v)+eps)."""
-    g = state._flat_grad(grads)
+def rmsprop_step(state: TrainState, grads, config: OptimizerConfig, *,
+                 consume: bool = False) -> TrainState:
+    """v <- decay*v + (1-decay)*g^2; theta <- theta - alpha*g/(sqrt(v)+eps).
+    The step is finished in the gradient's array, so one work array is
+    enough; that array is a copy unless `consume` hands over the caller's."""
+    g = state._flat_grad(grads, consume)
     if state.accumulators is None:
         state.accumulators = np.zeros_like(g)
-    if not state.scratch:
-        state.scratch = [np.empty_like(g), np.empty_like(g)]
-    v, (tmp, step) = state.accumulators, state.scratch
+    if state.scratch is None:
+        state.scratch = np.empty_like(g)
+    v, tmp = state.accumulators, state.scratch
     v *= config.decay
     np.multiply(1.0 - config.decay, g, out=tmp)
     tmp *= g
     v += tmp
     np.sqrt(v, out=tmp)
     tmp += config.epsilon_stab
-    np.multiply(config.alpha, g, out=step)
-    step /= tmp
-    state.model.flat -= step
+    np.multiply(config.alpha, g, out=g)
+    g /= tmp
+    state.model.flat -= g
     state.t += 1
     return state
 
@@ -235,8 +251,11 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     and sit out a step in which they have no rows left.
 
     A model whose input, loss or gradient is non-finite stops training and
-    its entry in the returned list is that error; every other entry is a
-    TrainResult, whose final model is the input model, updated in place.
+    its entry in the returned list is that error; it keeps the parameters it
+    had then. Every other entry is a TrainResult. Its final model is the
+    input model, whose parameters are now a row of the stack's (B, P) array:
+    the input models' own buffers are let go when training starts. Its best
+    model, when tracked, is a row of the stack's best-iterate snapshot.
     With `evals` (one (X, y) per model) each epoch records accuracies.
     """
     if epochs < 1:
@@ -264,6 +283,8 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
         return outcomes
 
     stack = MlpModel.stack(models)
+    for b in np.flatnonzero(alive):
+        models[b].bind(stack.flat[b])
     state = TrainState(model=stack, config=config)
     grads = None  # every step's gradient goes into the first step's arrays
     n = np.array([X.shape[0] if ok else 0 for X, ok in zip(Xs, alive)])
@@ -286,13 +307,15 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
         alive[b] = False
         counts[b] = 0
         step_rows[:] = counts.T.tolist()
+        models[b].bind(stack.flat[b].copy())
         stack.flat[b] = 0.0  # keeps the dead model's rows finite from here on
 
     def step(grads) -> None:
+        # the step may overwrite the gradient: the next backward refills it
         if config.method is Method.SUBGRADIENT:
-            subgradient_step(state, grads, config.alpha)
+            subgradient_step(state, grads, config.alpha, consume=True)
         else:
-            rmsprop_step(state, grads, config)
+            rmsprop_step(state, grads, config, consume=True)
 
     history = [[] for _ in range(n_models)]
     losses = np.empty((n_models, n_steps))
@@ -363,18 +386,15 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
         for b in np.flatnonzero(alive):
             train_acc = eval_acc = float("nan")
             if evals is not None:
-                current = models[b].copy()
-                current.flat[...] = stack.flat[b]
-                train_acc = _accuracy(current, Xs[b], ys[b])
-                eval_acc = _accuracy(current, *evals[b])
+                train_acc = _accuracy(models[b], Xs[b], ys[b])
+                eval_acc = _accuracy(models[b], *evals[b])
             history[b].append(EpochRecord(epoch, float(losses[b, :batches[b]].mean()),
                                           train_acc, eval_acc))
 
     for b in np.flatnonzero(alive):
-        models[b].flat[...] = stack.flat[b]
         best = models[b]
         if state.best_params is not None:
             best = models[b].copy()
-            best.flat[...] = state.best_params[b]
+            best.bind(state.best_params[b])
         outcomes[b] = TrainResult(model=best, final_model=models[b], history=history[b])
     return outcomes

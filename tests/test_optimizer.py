@@ -325,13 +325,61 @@ class TestFlatUpdate:
             assert np.array_equal(state.accumulators, acc)
         assert state.t == 1
 
-    def test_best_params_snapshot_is_a_new_copy(self):
+    def test_best_model_holds_the_best_iterate_apart_from_the_model(self):
         model = one_param_model(0.3, 0.1)
         state = TrainState(model=model, config=OptimizerConfig())
         state.note_loss(1.0)
-        first = state.best_params
         model.flat += 1.0
-        state.note_loss(0.5)
-        assert state.best_params is not first
-        assert np.array_equal(first, [0.3, 0.1])
+        state.note_loss(0.5)   # the best iterate: [1.3, 1.1]
+        model.flat += 1.0
+        state.note_loss(0.7)   # worse, so not taken
+        best = state.best_model()
+        assert np.array_equal(best.flat, [1.3, 1.1])
+        model.flat += 1.0
+        rmsprop_step(state, grads_like(model, 0.5), state.config)
         assert np.array_equal(state.best_model().flat, [1.3, 1.1])
+        assert np.array_equal(best.flat, [1.3, 1.1])
+        assert not np.shares_memory(state.best_params, model.flat)
+        assert not np.shares_memory(best.flat, model.flat)
+
+    def test_stacked_snapshot_takes_only_the_rows_that_improved(self):
+        stack = MlpModel.stack([one_param_model(0.3, 0.1), one_param_model(-0.3, -0.1)])
+        state = TrainState(model=stack, config=OptimizerConfig())
+        state.note_loss(np.array([1.0, 1.0]))
+        stack.flat += 1.0
+        state.note_loss(np.array([0.5, 2.0]))
+        stack.flat += 1.0
+        state.note_loss(np.array([0.7, 0.9]))
+        assert np.allclose(state.best_params, [[1.3, 1.1], [1.7, 1.9]], rtol=0, atol=1e-15)
+        assert not np.shares_memory(state.best_params, stack.flat)
+
+    @pytest.mark.parametrize("method", [Method.RMSPROP, Method.SUBGRADIENT])
+    def test_trained_best_model_never_aliases_the_final_model(self, method):
+        X, y = TestTrainLoop.toy_data()
+        cfg = OptimizerConfig(method=method, alpha=0.05)
+        res = train(build_boundary_model(3, seed=1), X, y, LossParams(), cfg,
+                    epochs=4, batch_size=4, rng=np.random.default_rng(1))
+        assert not np.shares_memory(res.model.flat, res.final_model.flat)
+        best = res.model.flat.copy()
+        state = TrainState(model=res.final_model, config=cfg)
+        rmsprop_step(state, grads_like(res.final_model, 0.5), cfg)
+        assert np.array_equal(res.model.flat, best)
+
+    @pytest.mark.parametrize("method", [Method.RMSPROP, Method.SUBGRADIENT])
+    def test_step_leaves_the_callers_gradients_unless_consumed(self, method):
+        from xmargin.network import build_experiment_model
+        cfg = OptimizerConfig(method=method, alpha=0.01)
+        a = build_experiment_model(7, seed=5)
+        b = a.copy()
+        grads = self.real_gradients(a)
+        before = grads.flat.copy()
+        sa, sb = TrainState(model=a, config=cfg), TrainState(model=b, config=cfg)
+        if method is Method.RMSPROP:
+            rmsprop_step(sa, grads, cfg)
+            assert np.array_equal(grads.flat, before)
+            rmsprop_step(sb, grads, cfg, consume=True)
+        else:
+            subgradient_step(sa, grads, cfg.alpha)
+            assert np.array_equal(grads.flat, before)
+            subgradient_step(sb, grads, cfg.alpha, consume=True)
+        assert np.array_equal(a.flat, b.flat)

@@ -7,21 +7,25 @@ must reproduce it to rounding, and CV fold scores exactly.
 """
 
 import functools
+import gc
 import math
 import os
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from xmargin import cli
 from xmargin.config import load_config
+from xmargin import data_pipeline
 from xmargin.data_pipeline import Dataset, repeated_cv
 from xmargin.loss_core import LossParams, loss_and_grad_vec
 from xmargin.network import (Activation, Layer, MlpModel, Mode, backward,
                              build_boundary_model, build_experiment_model, forward,
                              predict_proba)
-from xmargin.optimizer import (Method, OptimizerConfig, TrainState, rmsprop_step,
-                               subgradient_step, train, train_models)
+from xmargin.optimizer import (Method, OptimizerConfig, TrainResult, TrainState,
+                               rmsprop_step, subgradient_step, train, train_models)
 
 LOSS = LossParams(2.0, 3.0)
 EPOCHS = 6
@@ -181,6 +185,21 @@ class TestFailures:
                                    np.random.default_rng(seeds[b]))
             assert np.max(np.abs(out[b].model.flat - best.flat)) <= 1e-12
 
+    def test_failed_model_keeps_its_parameters(self):
+        Xs, ys = unequal_training_sets()
+        seeds = [11, 12, 13]
+        models = [build_experiment_model(5, s) for s in seeds]
+        models[1].layers[0].weights[...] = 1e308
+        Xs[1] = np.abs(Xs[1]) + 1.0
+        before = models[1].flat.copy()
+        out = train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
+                           [np.random.default_rng(s) for s in seeds])
+        assert isinstance(out[1], FloatingPointError)
+        assert np.array_equal(models[1].flat, before)
+        for b in (0, 2):
+            assert out[b].final_model is models[b]
+            assert not np.shares_memory(models[1].flat, models[b].flat)
+
     def test_bad_inputs_fail_their_model_only(self):
         Xs, ys = unequal_training_sets()
         Xs[0] = Xs[0].copy()
@@ -221,6 +240,55 @@ class TestFailures:
         failing_metric.clear()
         with pytest.raises(RuntimeError, match=r"repeat 0, fold 2: training 3002"):
             repeated_cv(data, 3, 2, train_fn, metric, seed=3)
+
+
+class TestStreamedCells:
+    """repeated_cv scores each cell as its predictor arrives from train_fn."""
+
+    @staticmethod
+    def constant(X):
+        return np.full(len(X), 0.7)
+
+    def test_cells_are_scored_as_their_predictors_arrive(self):
+        data = thirteen_rows()
+        events = []
+
+        def train_fn(Xs, ys, seeds):
+            for s in seeds:
+                events.append(("train", s))
+                yield self.constant
+
+        def metric(predictor, X, y):
+            events.append(("score",))
+            return accuracy_metric(predictor, X, y)
+
+        rep = repeated_cv(data, 3, 1, train_fn, metric, seed=3)
+        assert events == [e for s in (3000, 3001, 3002) for e in (("train", s), ("score",))]
+        listed = repeated_cv(data, 3, 1, lambda Xs, ys, seeds: [self.constant] * len(seeds),
+                             accuracy_metric, seed=3)
+        assert rep.fold_scores == listed.fold_scores
+
+    def test_an_iterator_that_raises_fails_the_cell_it_was_due_for(self):
+        data = thirteen_rows()
+
+        def train_fn(Xs, ys, seeds):
+            yield self.constant
+            yield self.constant
+            raise ValueError("second stack")
+
+        with pytest.raises(RuntimeError, match=r"^CV cell failed at repeat 0, fold 2: second stack"):
+            repeated_cv(data, 3, 1, train_fn, accuracy_metric, seed=3)
+
+    def test_too_few_or_too_many_predictors(self):
+        data = thirteen_rows()
+        with pytest.raises(RuntimeError, match=r"repeat 0, fold 2: train_fn returned 2 predictors "
+                                               r"for 3 cells"):
+            repeated_cv(data, 3, 1, lambda Xs, ys, seeds: [self.constant] * 2,
+                        accuracy_metric, seed=3)
+        with pytest.raises(RuntimeError, match=r"repeat 0, fold 0: train_fn returned more "
+                                               r"predictors than the 3 cells"):
+            repeated_cv(data, 3, 1, lambda Xs, ys, seeds: [self.constant] * 4,
+                        accuracy_metric, seed=3)
 
 
 class TestStackedNetwork:
@@ -275,6 +343,7 @@ class TestStacksOfTheCli:
             return train_models(models, *args, **kwargs)
 
         monkeypatch.setattr(cli, "train_models", recording)
+        monkeypatch.setattr(cli, "STACK_PARAMS", 3 * 6657)
         stacked = list(cli._fit_many(build_experiment_model, cfg, [Xtr] * 5, [ytr] * 5,
                                      seeds))
         assert stacks == [3, 2]
@@ -294,3 +363,61 @@ class TestStacksOfTheCli:
                               cli._accuracy_metric, cfg.seed, scaling=cfg.scaling)
             scores.append(rep.fold_scores)
         assert scores[0] == scores[1] == scores[2]
+
+
+# parameters of the sonar experiment model (60 features), and its bytes
+SONAR_PARAMS = 6657
+SONAR_PARAM_BYTES = SONAR_PARAMS * 8
+
+
+class TestMemory:
+    """What stacked training holds at once."""
+
+    def test_train_models_peak_in_parameter_sized_arrays(self):
+        # A stacked RMSprop model holds five arrays shaped like its
+        # parameters while it trains: its row of the stack, the
+        # accumulators, the best-iterate snapshot, the gradient and one work
+        # array. Few rows and small minibatches keep the activations and
+        # dropout draws small beside them. Holding a second work array, a
+        # new snapshot per improvement or the input models' own buffers puts
+        # the peak above the bound (7.6 arrays per model when all were held).
+        bound = 6.5
+        rng = np.random.default_rng(0)
+        Xs = [rng.normal(size=(16, 60)) for _ in range(5)]
+        ys = [rng.integers(0, 2, 16) for _ in range(5)]
+        models = [build_experiment_model(60, s) for s in range(5)]
+        assert models[0].flat.size == SONAR_PARAMS
+        tracemalloc.start()
+        try:
+            out = train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], 2, BATCH,
+                               [np.random.default_rng(s) for s in range(5)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(r, TrainResult) for r in out)
+        assert peak / (5 * SONAR_PARAM_BYTES) < bound
+
+    def test_cv_holds_one_stacks_training_matrices(self, monkeypatch):
+        cfg = sonar_config("epochs=1", "k=5", "repeats=2")  # ten cells, two stacks
+        data = cli._load_dataset(cfg)
+        scaled = []
+        real_apply = data_pipeline.apply_scaler
+
+        def recording_apply(X, method, stats):
+            out = real_apply(X, method, stats)
+            scaled.append(weakref.ref(out))
+            return out
+
+        held = []
+
+        def recording_train(models, *args, **kwargs):
+            gc.collect()
+            held.append((len(models), sum(r() is not None for r in scaled)))
+            return train_models(models, *args, **kwargs)
+
+        monkeypatch.setattr(data_pipeline, "apply_scaler", recording_apply)
+        monkeypatch.setattr(cli, "train_models", recording_train)
+        repeated_cv(data, cfg.k, cfg.repeats, cli._train_predictor_fn(cfg),
+                    cli._accuracy_metric, cfg.seed, scaling=cfg.scaling)
+        per_stack = cli.STACK_PARAMS // SONAR_PARAMS
+        assert held == [(per_stack, per_stack)] * (10 // per_stack)
