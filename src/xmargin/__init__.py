@@ -4,14 +4,13 @@ harness, class-conditional metrics, and a reproduction CLI."""
 
 __version__ = "0.1.0"
 
-from .loss_core import (Branch, LossFamily, LossParams, LossValue,
-                        PredictionRecord, batch_loss, bce_loss, gamma,
-                        hinge_loss, indicator_terms, predict_label, sigma,
-                        xtreme_margin_loss, xtreme_margin_subgrad)
+from .loss_core import (Branch, LossFamily, LossParams, LossValue, bce_loss,
+                        branches, gamma, hinge_loss, indicator_terms,
+                        predict_label, sigma, xtreme_margin_loss,
+                        xtreme_margin_subgrad)
 
 __all__ = [
-    "Branch", "LossFamily", "LossParams", "LossValue", "PredictionRecord",
-    "batch_loss", "bce_loss", "gamma", "hinge_loss", "indicator_terms",
-    "predict_label", "sigma", "xtreme_margin_loss", "xtreme_margin_subgrad",
-    "__version__",
+    "Branch", "LossFamily", "LossParams", "LossValue", "bce_loss", "branches",
+    "gamma", "hinge_loss", "indicator_terms", "predict_label", "sigma",
+    "xtreme_margin_loss", "xtreme_margin_subgrad", "__version__",
 ]

@@ -24,7 +24,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config, validate
 from .data_pipeline import (Dataset, apply_scaler, fit_scaler, load_csv,
                             repeated_cv, stratified_split)
-from .loss_core import LossFamily, LossParams, predict_label, xtreme_margin_loss
+from .loss_core import LossFamily, LossParams, xtreme_margin_loss
 from .metrics import (LabelConfidence, accuracy, auc, bias_estimate,
                       conditional_accuracy, conditional_risk, confusion,
                       precision_recall)
@@ -233,8 +233,9 @@ def cmd_boundary(cfg: ExperimentConfig, feature_pair: tuple[int, int],
     gx, gy = np.meshgrid(g1, g2)
     grid_raw = np.column_stack([gx.ravel(), gy.ravel()])
     probs = predict_proba(result.model, apply_scaler(grid_raw, cfg.scaling, stats))
-    grid_rows = [(p1, p2, pr, predict_label(float(pr)))
-                 for (p1, p2), pr in zip(grid_raw, probs)]
+    # predict_label's threshold; int() keeps the labels small cached Python
+    # ints (numpy scalars would hold ~11 MB more at resolution 600)
+    grid_rows = list(zip(grid_raw[:, 0], grid_raw[:, 1], probs, map(int, probs >= 0.5)))
     write_csv(os.path.join(cfg.output_dir, "boundary_grid.csv"),
               ["x1", "x2", "probability", "hard_label"], grid_rows)
     write_csv(os.path.join(cfg.output_dir, "boundary_points.csv"),

@@ -12,7 +12,7 @@ import csv
 import enum
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +40,6 @@ class Dataset:
     labels: np.ndarray             # (n,) ints in {0, 1}
     default_class_raw_label: str
     feature_names: list[str] | None = None
-    scaling: Scaling = Scaling.NONE
-    scaling_stats: dict | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.features).all():
@@ -56,9 +54,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-    def subset(self, idx) -> "Dataset":
-        return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 
 def load_csv(path, label_column: int = -1, default_class_raw_label: str | None = None,
@@ -144,14 +139,6 @@ def apply_scaler(features: np.ndarray, method: Scaling, stats: dict) -> np.ndarr
     if method is Scaling.ZSCORE:
         return (features - stats["mean"]) / stats["std"]
     return features.copy()
-
-
-def scale_features(data: Dataset, method: Scaling, fit_on) -> Dataset:
-    """Return a Dataset scaled with statistics fitted on ``fit_on`` rows and
-    applied to all rows (held-out rows may fall outside [0,1] under MinMax)."""
-    stats = fit_scaler(data.features, method, fit_on)
-    return replace(data, features=apply_scaler(data.features, method, stats),
-                   scaling=method, scaling_stats=stats)
 
 
 @dataclass

@@ -4,7 +4,8 @@ Implements the Xtreme Margin loss (a tunable margin loss over predicted
 probabilities), plus binary cross-entropy and hinge baselines. Every loss
 comes with a per-instance generalized derivative with respect to the
 predicted probability, with explicit branch bookkeeping for the piecewise
-Xtreme Margin definition.
+Xtreme Margin definition. `loss_and_grad_vec` is the one implementation of
+the losses; the per-instance functions are checked length-1 calls into it.
 
 Conventions: labels are 0/1 with '1' the default class; ``y`` is always the
 predicted probability of the default class.
@@ -14,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,20 +85,6 @@ class LossValue:
     branch: Branch
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One instance: predicted probability, true label, derived hard label."""
-
-    y: float
-    y_true: int
-    y_pred: int = field(init=False)
-
-    def __post_init__(self):
-        _check_prob(self.y)
-        _check_label(self.y_true)
-        object.__setattr__(self, "y_pred", predict_label(self.y))
-
-
 def _check_prob(y: float) -> None:
     if not (isinstance(y, (int, float, np.floating, np.integer))
             and math.isfinite(float(y)) and 0.0 <= float(y) <= 1.0):
@@ -147,52 +133,29 @@ def gamma(y: float, y_true: int, params: LossParams) -> float:
     return i1 * params.lambda1 * m + i2 * params.lambda2 * m
 
 
-def _branch_of(y: float, y_true: int) -> Branch:
-    gap = abs(float(y) - y_true)
-    if gap < 0.5:
-        return Branch.CORRECT_NON_DEFAULT if y_true == 0 else Branch.CORRECT_DEFAULT
-    # distance condition fires; the threshold rule may still call it correct
-    if predict_label(y) == y_true:
-        return Branch.SIGMA_BOUNDARY
-    return Branch.MISCLASSIFIED
-
-
 def xtreme_margin_loss(y: float, y_true: int, params: LossParams) -> LossValue:
     """Evaluate the Xtreme Margin loss 1 / (1 + sigma + gamma) for one
     instance, recording the active branch and the branch derivative.
 
     On the misclassified (and boundary) piece the value algebraically
-    equals e^{|y_true - y|}; the overall range is (0, e].
+    equals e^{|y_true - y|}; the overall range is (0, e]. The family in
+    ``params`` is ignored.
     """
-    _check_prob(y)
-    _check_label(y_true)
-    branch = _branch_of(y, y_true)
-    value = 1.0 / (1.0 + sigma(y, y_true) + gamma(y, y_true, params))
-    return LossValue(value=value,
-                     subgradient_dy=xtreme_margin_subgrad(y, y_true, params),
-                     branch=branch)
+    value, deriv = loss_and_grad(y, y_true, _margin(params))
+    return LossValue(value=value, subgradient_dy=deriv,
+                     branch=branches([y], [y_true])[0])
 
 
 def xtreme_margin_subgrad(y: float, y_true: int, params: LossParams) -> float:
-    """Derivative of the active piece with respect to y.
+    """Derivative of the active Xtreme Margin piece with respect to y (the
+    family in ``params`` is ignored).
 
     Correct piece: d/dy 1/(1 + lam*(2y-1)^2) = -4*lam*(2y-1)/(1+lam*(2y-1)^2)^2.
     Misclassified/boundary piece: d/dy e^{|y_true - y|} = e^{|y_true-y|} * sign(y - y_true).
     At exact branch switches the selected branch's one-sided derivative is
     returned.
     """
-    _check_prob(y)
-    _check_label(y_true)
-    yf = float(y)
-    branch = _branch_of(yf, y_true)
-    if branch in (Branch.MISCLASSIFIED, Branch.SIGMA_BOUNDARY):
-        gap = abs(y_true - yf)
-        sign = 1.0 if yf > y_true else -1.0
-        return math.exp(gap) * sign
-    lam = params.lambda1 if y_true == 0 else params.lambda2
-    m = 2.0 * yf - 1.0
-    denom = 1.0 + lam * m * m
-    return -4.0 * lam * m / (denom * denom)
+    return loss_and_grad(y, y_true, _margin(params))[1]
 
 
 def bce_loss(y: float, y_true: int) -> tuple[float, float]:
@@ -201,47 +164,55 @@ def bce_loss(y: float, y_true: int) -> tuple[float, float]:
     The probability is clamped to [BCE_CLIP, 1 - BCE_CLIP] before the
     logarithms, so no infinities can escape.
     """
-    _check_prob(y)
-    _check_label(y_true)
-    p = min(max(float(y), BCE_CLIP), 1.0 - BCE_CLIP)
-    value = -(y_true * math.log(p) + (1 - y_true) * math.log(1.0 - p))
-    deriv = -(y_true / p) + (1 - y_true) / (1.0 - p)
-    return value, deriv
+    return loss_and_grad(y, y_true, _BCE)
 
 
 def hinge_loss(y: float, y_true: int) -> tuple[float, float]:
     """Margin hinge loss on the signed score s = 2y - 1 with target
     t = 2*y_true - 1: max(0, 1 - t*s). Subgradient 0 at the kink."""
-    _check_prob(y)
-    _check_label(y_true)
-    t = 2.0 * y_true - 1.0
-    s = 2.0 * float(y) - 1.0
-    margin = 1.0 - t * s
-    if margin > 0.0:
-        return margin, -2.0 * t
-    return 0.0, 0.0
+    return loss_and_grad(y, y_true, _HINGE)
 
 
 def loss_and_grad(y: float, y_true: int, params: LossParams) -> tuple[float, float]:
-    """Dispatch on the loss family; returns (value, d value / d y)."""
+    """(value, d value / d y) for one instance: a checked length-1 call into
+    `loss_and_grad_vec`, dispatching on the loss family."""
+    _check_prob(y)
+    _check_label(y_true)
+    vals, grads = loss_and_grad_vec([float(y)], [y_true], params)
+    return float(vals[0]), float(grads[0])
+
+
+_BCE = LossParams(family=LossFamily.BCE)
+_HINGE = LossParams(family=LossFamily.HINGE)
+
+
+def _margin(params: LossParams) -> LossParams:
     if params.family is LossFamily.XTREME_MARGIN:
-        lv = xtreme_margin_loss(y, y_true, params)
-        return lv.value, lv.subgradient_dy
-    if params.family is LossFamily.BCE:
-        return bce_loss(y, y_true)
-    return hinge_loss(y, y_true)
-
-
-def batch_loss(records: Sequence[PredictionRecord], params: LossParams) -> float:
-    """Arithmetic mean of per-instance loss values over a non-empty batch."""
-    if len(records) == 0:
-        raise ValueError("batch_loss requires a non-empty batch")
-    return float(np.mean([loss_and_grad(r.y, r.y_true, params)[0] for r in records]))
+        return params
+    return replace(params, family=LossFamily.XTREME_MARGIN)
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels (used by the training loop and the bulk range checks)
+# vectorized kernels: the one implementation of every loss, used by the
+# training loop, the bulk range checks and the scalar functions above
 # ---------------------------------------------------------------------------
+
+# indexed by 2 * far + agree, as `branches` computes them
+_BRANCHES = np.array([Branch.CORRECT_NON_DEFAULT, Branch.CORRECT_DEFAULT,
+                      Branch.MISCLASSIFIED, Branch.SIGMA_BOUNDARY], dtype=object)
+
+
+def branches(y, y_true) -> np.ndarray:
+    """The Xtreme Margin piece each instance is in, as an object array of
+    `Branch`: |y - y_true| >= 0.5 selects the exponential piece, where the
+    threshold rule (y >= 0.5 is class 1) tells SIGMA_BOUNDARY from
+    MISCLASSIFIED; otherwise the true class names the correct piece."""
+    y = np.asarray(y, dtype=float)
+    yt = np.asarray(y_true, dtype=float)
+    far = np.abs(y - yt) >= 0.5
+    agree = np.where(far, (y >= 0.5) == (yt == 1.0), yt == 1.0)
+    return _BRANCHES[2 * far + agree]
+
 
 def xtreme_margin_loss_vec(y: np.ndarray, y_true: np.ndarray,
                            lambda1: float, lambda2: float) -> np.ndarray:
@@ -253,8 +224,8 @@ def loss_and_grad_vec(y: np.ndarray, y_true: np.ndarray,
                       params: LossParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (values, d/dy) for a batch, dispatching on the family.
 
-    Matches the scalar functions branch for branch, including the one-sided
-    derivative convention at branch switches.
+    The Xtreme Margin pieces are chosen as `branches` chooses them; at a
+    branch switch the selected piece's one-sided derivative is returned.
     """
     y = np.asarray(y, dtype=float)
     yt = np.asarray(y_true, dtype=float)

@@ -291,40 +291,3 @@ def predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Deterministic inference probabilities for a batch ((B, n) for a
     stacked model)."""
     return forward(model, X, Mode.INFER).output
-
-
-CHECKPOINT_MAGIC = "xmargin-checkpoint v1"
-
-
-def save_model(model: MlpModel, path) -> None:
-    """Flat text checkpoint: header, per-layer shape lines, then row-major
-    parameters at full double precision."""
-    lines = [CHECKPOINT_MAGIC, f"seed {model.seed}", f"layers {len(model.layers)}"]
-    for l in model.layers:
-        lines.append(f"layer {l.weights.shape[0]} {l.weights.shape[1]} "
-                     f"{l.activation.value} {l.dropout_rate!r}")
-    for l in model.layers:
-        for arr in (l.weights, l.biases):
-            lines.append(" ".join(repr(float(v)) for v in arr.ravel()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> MlpModel:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a model checkpoint: {path}")
-    try:
-        seed = int(lines[1].split()[1])
-        n_layers = int(lines[2].split()[1])
-        layers = []
-        for i in range(n_layers):
-            _, out_d, in_d, act, rate = lines[3 + i].split()
-            w, b = (np.array([float(v) for v in lines[3 + n_layers + 2 * i + k].split()])
-                    for k in (0, 1))
-            layers.append(Layer(w.reshape(int(out_d), int(in_d)), b, Activation(act),
-                                float(rate)))
-        return MlpModel(layers=layers, seed=seed)
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"malformed model checkpoint {path}: {exc}") from exc

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from xmargin.data_pipeline import (CvReport, Dataset, IngestionError, Scaling,
                                    apply_scaler, fit_scaler, load_csv,
-                                   repeated_cv, scale_features, stratified_kfold,
-                                   stratified_split)
+                                   repeated_cv, stratified_kfold, stratified_split)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -98,22 +97,25 @@ class TestShippedStandins:
 class TestScaling:
     def test_minmax_unit_interval_on_fit_rows(self):
         data = toy_dataset()
-        scaled = scale_features(data, Scaling.MINMAX, np.arange(data.n))
-        assert scaled.features.min() >= 0.0 and scaled.features.max() <= 1.0
-        assert np.isclose(scaled.features.min(axis=0), 0.0).all()
-        assert np.isclose(scaled.features.max(axis=0), 1.0).all()
+        scaled = apply_scaler(data.features, Scaling.MINMAX,
+                              fit_scaler(data.features, Scaling.MINMAX, np.arange(data.n)))
+        assert scaled.min() >= 0.0 and scaled.max() <= 1.0
+        assert np.isclose(scaled.min(axis=0), 0.0).all()
+        assert np.isclose(scaled.max(axis=0), 1.0).all()
 
     def test_zscore_moments_on_fit_rows(self):
         data = toy_dataset(n0=50, n1=50)
-        scaled = scale_features(data, Scaling.ZSCORE, np.arange(data.n))
-        assert np.allclose(scaled.features.mean(axis=0), 0.0, atol=1e-10)
-        assert np.allclose(scaled.features.std(axis=0), 1.0, atol=1e-10)
+        scaled = apply_scaler(data.features, Scaling.ZSCORE,
+                              fit_scaler(data.features, Scaling.ZSCORE, np.arange(data.n)))
+        assert np.allclose(scaled.mean(axis=0), 0.0, atol=1e-10)
+        assert np.allclose(scaled.std(axis=0), 1.0, atol=1e-10)
 
     def test_held_out_rows_may_exceed_unit_interval(self):
         data = toy_dataset(n0=30, n1=30)
         fit_on = np.arange(40)
-        scaled = scale_features(data, Scaling.MINMAX, fit_on)
-        held = scaled.features[40:]
+        scaled = apply_scaler(data.features, Scaling.MINMAX,
+                              fit_scaler(data.features, Scaling.MINMAX, fit_on))
+        held = scaled[40:]
         assert held.max() > 1.0 or held.min() < 0.0
 
     def test_constant_feature_maps_to_zero_minmax(self):
@@ -131,8 +133,9 @@ class TestScaling:
 
     def test_none_is_identity(self):
         data = toy_dataset()
-        scaled = scale_features(data, Scaling.NONE, np.arange(data.n))
-        assert np.array_equal(scaled.features, data.features)
+        scaled = apply_scaler(data.features, Scaling.NONE,
+                              fit_scaler(data.features, Scaling.NONE, np.arange(data.n)))
+        assert np.array_equal(scaled, data.features)
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmargin.loss_core import (Branch, LossFamily, LossParams, PredictionRecord,
-                               batch_loss, bce_loss, gamma, hinge_loss,
-                               indicator_terms, loss_and_grad_vec, predict_label,
-                               sigma, xtreme_margin_loss, xtreme_margin_loss_vec,
+import loss_oracle
+import xmargin
+from xmargin.loss_core import (Branch, LossFamily, LossParams, bce_loss, branches,
+                               gamma, hinge_loss, indicator_terms, loss_and_grad,
+                               loss_and_grad_vec, predict_label, sigma,
+                               xtreme_margin_loss, xtreme_margin_loss_vec,
                                xtreme_margin_subgrad)
 
 E = math.e
@@ -203,27 +205,6 @@ class TestBaselines:
         assert (v == 0) == (t * s >= 1)
 
 
-class TestBatchLoss:
-    def test_singleton_mean(self):
-        r = PredictionRecord(0.8, 1)
-        assert batch_loss([r], P11) == xtreme_margin_loss(0.8, 1, P11).value
-
-    def test_two_record_mean(self):
-        rs = [PredictionRecord(0.8, 1), PredictionRecord(0.1, 1)]
-        expected = (1 / 1.36 + math.exp(0.9)) / 2
-        assert batch_loss(rs, P11) == pytest.approx(expected, rel=1e-12)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            batch_loss([], P11)
-
-    def test_prediction_record_derives_hard_label(self):
-        assert PredictionRecord(0.5, 0).y_pred == 1
-        assert PredictionRecord(0.49, 0).y_pred == 0
-        with pytest.raises(ValueError):
-            PredictionRecord(1.5, 0)
-
-
 class TestVectorizedKernels:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30)
@@ -235,10 +216,9 @@ class TestVectorizedKernels:
             p = LossParams(2.5, 0.7, fam)
             vals, grads = loss_and_grad_vec(y, yt, p)
             for i in range(64):
-                from xmargin.loss_core import loss_and_grad
-                v, g = loss_and_grad(float(y[i]), int(yt[i]), p)
-                assert vals[i] == pytest.approx(v, rel=1e-14)
-                assert grads[i] == pytest.approx(g, rel=1e-14)
+                v, g = loss_oracle.loss_and_grad(float(y[i]), int(yt[i]), p)
+                assert vals[i] == pytest.approx(v, rel=1e-14, abs=0.0)
+                assert grads[i] == pytest.approx(g, rel=1e-14, abs=0.0)
 
     def test_loss_vec_range(self):
         rng = np.random.default_rng(0)
@@ -246,3 +226,43 @@ class TestVectorizedKernels:
         yt = rng.integers(0, 2, 10000)
         v = xtreme_margin_loss_vec(y, yt, 3.0, 0.5)
         assert (v > 0).all() and (v <= E).all()
+
+    @pytest.mark.parametrize("y_true,pieces", [
+        (0, {Branch.CORRECT_NON_DEFAULT, Branch.MISCLASSIFIED}),
+        (1, {Branch.CORRECT_DEFAULT, Branch.SIGMA_BOUNDARY, Branch.MISCLASSIFIED}),
+    ])
+    def test_branches_match_oracle_at_switches(self, y_true, pieces):
+        # 0, 0.5 and 1 with their neighbouring floats on both sides
+        ys = [v for c in (0.0, 0.5, 1.0)
+              for v in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))
+              if 0.0 <= v <= 1.0]
+        ys += list(np.linspace(0.0, 1.0, 101))
+        got = branches(ys, [y_true] * len(ys))
+        assert list(got) == [loss_oracle._branch_of(y, y_true) for y in ys]
+        assert set(got) == pieces
+
+    def test_scalar_functions_are_length_one_kernel_calls(self):
+        rng = np.random.default_rng(7)
+        for y, yt in zip(rng.random(50), rng.integers(0, 2, 50)):
+            y, yt = float(y), int(yt)
+            for fam in LossFamily:
+                p = LossParams(2.5, 0.7, fam)
+                vals, grads = loss_and_grad_vec([y], [yt], p)
+                assert loss_and_grad(y, yt, p) == (vals[0], grads[0])
+            lv = xtreme_margin_loss(y, yt, LossParams(2.5, 0.7, LossFamily.BCE))
+            assert (lv.value, lv.subgradient_dy) == loss_and_grad(y, yt, LossParams(2.5, 0.7))
+            assert lv.branch is branches([y], [yt])[0]
+
+    @pytest.mark.parametrize("fn", [lambda y, t: loss_and_grad(y, t, P11),
+                                    lambda y, t: xtreme_margin_loss(y, t, P11),
+                                    lambda y, t: xtreme_margin_subgrad(y, t, P11),
+                                    bce_loss, hinge_loss])
+    def test_scalar_domain_checks(self, fn):
+        for y, yt in ((1.5, 1), (-0.1, 0), (float("nan"), 1), (0.5, 2)):
+            with pytest.raises(ValueError):
+                fn(y, yt)
+
+
+def test_every_public_name_resolves():
+    for name in xmargin.__all__:
+        assert getattr(xmargin, name) is not None

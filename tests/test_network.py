@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from xmargin.loss_core import LossParams, loss_and_grad_vec
 from xmargin.network import (Activation, Layer, MlpModel, Mode, backward,
                              build_boundary_model, build_mlp, build_experiment_model,
-                             forward, forward_single_layer, load_model,
-                             predict_proba, save_model, sigmoid)
+                             forward, forward_single_layer, predict_proba,
+                             sigmoid)
 
 
 def flat_params(model):
@@ -231,25 +231,6 @@ class TestBuilders:
                                    Activation.RELU)])
 
 
-class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
-        model = build_experiment_model(9, seed=21)
-        path = tmp_path / "model.ckpt"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.seed == model.seed
-        for a, b in zip(model.parameters(), loaded.parameters()):
-            assert np.array_equal(a, b)
-        X = np.random.default_rng(1).normal(size=(8, 9))
-        assert np.array_equal(predict_proba(model, X), predict_proba(loaded, X))
-
-    def test_rejects_non_checkpoint(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a checkpoint\n")
-        with pytest.raises(ValueError):
-            load_model(path)
-
-
 class TestSigmoid:
     @given(st.floats(-500, 500))
     @settings(max_examples=200)
@@ -325,32 +306,3 @@ class TestSigmoidReference:
     def test_far_negative_tail_is_not_flushed(self):
         assert float(sigmoid(np.array([-40.0]))[0]) == pytest.approx(
             math.exp(-40.0), rel=1e-12)
-
-
-class TestMalformedCheckpoint:
-    def test_truncated_checkpoint_names_the_file(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_model(build_experiment_model(4, seed=1), path)
-        lines = path.read_text().splitlines()
-        for keep in (2, 5, len(lines) - 1):
-            cut = tmp_path / f"cut{keep}.ckpt"
-            cut.write_text("\n".join(lines[:keep]) + "\n")
-            with pytest.raises(ValueError, match=f"cut{keep}.ckpt"):
-                load_model(cut)
-
-    def test_half_written_parameter_line(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_model(build_boundary_model(2, seed=1), path)
-        text = path.read_text()
-        path.write_text(text[:len(text) // 2])
-        with pytest.raises(ValueError, match="model.ckpt"):
-            load_model(path)
-
-    def test_round_trip_keeps_flat_buffer(self, tmp_path):
-        model = build_experiment_model(9, seed=21)
-        model.flat[::7] += 0.1
-        path = tmp_path / "model.ckpt"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert np.array_equal(loaded.flat, model.flat)
-        assert all(np.shares_memory(p, loaded.flat) for p in loaded.parameters())
