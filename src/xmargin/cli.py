@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import os
 import sys
 import time
@@ -24,7 +23,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config, validate
 from .data_pipeline import (Dataset, apply_scaler, fit_scaler, load_csv,
                             repeated_cv, stratified_split)
-from .loss_core import LossFamily, LossParams, xtreme_margin_loss
+from .loss_core import LossFamily, LossParams, branches, loss_and_grad_vec, pieces
 from .metrics import (LabelConfidence, accuracy, auc, bias_estimate,
                       conditional_accuracy, conditional_risk, confusion,
                       precision_recall)
@@ -141,9 +140,9 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     data = _load_dataset(cfg)
     Xtr, ytr, Xte, yte, _ = _split_and_scale(cfg, data)
     result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed, eval_X=Xte, eval_y=yte)
-    rows = [(h.epoch, h.train_loss, h.train_acc, h.eval_acc) for h in result.history]
     write_csv(os.path.join(cfg.output_dir, "curves.csv"),
-              ["epoch", "train_loss", "train_acc", "test_acc"], rows)
+              ["epoch", "train_loss", "train_acc", "test_acc"],
+              list(zip(*map(dataclasses.astuple, result.history))))
     probs = predict_proba(result.model, Xte)
     return {
         "command": "train",
@@ -191,7 +190,7 @@ def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[tuple[float, float]]) -> d
             rows.append((l1, l2, float("nan"), float("nan"), "failed"))
     write_csv(os.path.join(cfg.output_dir, "grid.csv"),
               ["lambda1", "lambda2", "mean_cv_accuracy", "std_cv_accuracy", "status"],
-              rows)
+              list(zip(*rows)))
     if not cells:
         raise RuntimeError("every grid cell failed")
     # argmax mean; ties broken by smaller std, then smaller lambda1, lambda2
@@ -230,22 +229,18 @@ def cmd_boundary(cfg: ExperimentConfig, feature_pair: tuple[int, int],
     pad = 0.1 * (hi - lo)
     g1 = np.linspace(lo[0] - pad[0], hi[0] + pad[0], resolution)
     g2 = np.linspace(lo[1] - pad[1], hi[1] + pad[1], resolution)
-    gx, gy = np.meshgrid(g1, g2)
-    grid_raw = np.column_stack([gx.ravel(), gy.ravel()])
+    grid_raw = np.column_stack([g.ravel() for g in np.meshgrid(g1, g2)])
     probs = predict_proba(result.model, apply_scaler(grid_raw, cfg.scaling, stats))
-    # predict_label's threshold; int() keeps the labels small cached Python
-    # ints (numpy scalars would hold ~11 MB more at resolution 600)
-    grid_rows = list(zip(grid_raw[:, 0], grid_raw[:, 1], probs, map(int, probs >= 0.5)))
     write_csv(os.path.join(cfg.output_dir, "boundary_grid.csv"),
-              ["x1", "x2", "probability", "hard_label"], grid_rows)
+              ["x1", "x2", "probability", "hard_label"],
+              [grid_raw[:, 0], grid_raw[:, 1], probs, (probs >= 0.5).astype(np.int64)])
     write_csv(os.path.join(cfg.output_dir, "boundary_points.csv"),
-              ["x1", "x2", "label"],
-              [(a, b, int(l)) for (a, b), l in zip(feats, data.labels)])
+              ["x1", "x2", "label"], [feats[:, 0], feats[:, 1], data.labels])
     return {
         "command": "boundary",
         "features": [f1, f2],
         "resolution": resolution,
-        "grid_rows": len(grid_rows),
+        "grid_rows": len(probs),
         "train_accuracy": accuracy((predict_proba(result.model, X) >= 0.5).astype(int),
                                    data.labels),
         "grid_file": "boundary_grid.csv",
@@ -259,21 +254,16 @@ def cmd_loss_curve(cfg: ExperimentConfig, y_true: int, samples: int) -> dict:
     params = cfg.loss_params()
     if params.family is not LossFamily.XTREME_MARGIN:
         params = LossParams(cfg.lambda1, cfg.lambda2, LossFamily.XTREME_MARGIN)
-    lam = params.lambda1 if y_true == 0 else params.lambda2
-    rows = []
-    for y in np.linspace(0.0, 1.0, samples):
-        y = float(y)
-        lv = xtreme_margin_loss(y, y_true, params)
-        correct_case = 1.0 / (1.0 + lam * (2.0 * y - 1.0) ** 2)
-        misclassified_case = math.exp(abs(y_true - y))
-        rows.append((y, lv.value, lv.branch.value, correct_case, misclassified_case))
+    y = np.linspace(0.0, 1.0, samples)
     write_csv(os.path.join(cfg.output_dir, "loss_curve.csv"),
-              ["y", "loss", "branch", "correct_case", "misclassified_case"], rows)
+              ["y", "loss", "branch", "correct_case", "misclassified_case"],
+              [y, loss_and_grad_vec(y, y_true, params)[0],
+               [b.value for b in branches(y, y_true)], *pieces(y, y_true, params)[:2]])
     return {
         "command": "loss_curve",
         "y_true": y_true,
         "samples": samples,
-        "lambda_active": lam,
+        "lambda_active": params.lambda1 if y_true == 0 else params.lambda2,
         "curve_file": "loss_curve.csv",
     }
 
@@ -301,7 +291,7 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
         raise ConfigError("ensemble_size must be >= 2")
     data = _load_dataset(cfg)
     Xtr, ytr, Xte, yte, _ = _split_and_scale(cfg, data)
-    table = []
+    table = {"loss_family": [], "lambda1": [], "lambda2": [], "bias": []}
     warnings = []
     seeds = [cfg.seed + 7919 * (member + 1) for member in range(ensemble_size)]
     for params in variants:
@@ -316,12 +306,11 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
             warnings.append(f"degenerate ensemble for {params.family.value}: "
                             "all members produced identical predictions")
         rep = bias_estimate(preds, yte)
-        table.append((params.family.value,
-                      params.lambda1 if params.family is LossFamily.XTREME_MARGIN else "N/A",
-                      params.lambda2 if params.family is LossFamily.XTREME_MARGIN else "N/A",
-                      rep.bias))
-    write_csv(os.path.join(cfg.output_dir, "bias.csv"),
-              ["loss_family", "lambda1", "lambda2", "bias"], table)
+        xm = params.family is LossFamily.XTREME_MARGIN
+        for name, value in zip(table, (params.family.value, params.lambda1 if xm else "N/A",
+                                       params.lambda2 if xm else "N/A", rep.bias)):
+            table[name].append(value)
+    write_csv(os.path.join(cfg.output_dir, "bias.csv"), list(table), list(table.values()))
     out = {
         "command": "bias",
         "bias_estimator": "ensemble-mean-prediction squared deviation, "
@@ -361,14 +350,15 @@ def cmd_risk(cfg: ExperimentConfig, confidence_const: tuple[float, float] | None
     result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed)
     probs = predict_proba(result.model, Xte)
     params = cfg.loss_params()
-    rows = [(int(inst), float(y), conditional_risk(float(y), conf, params))
-            for inst, y, conf in zip(test_idx, probs, confs)]
+    risk = np.array([conditional_risk(y, conf, params)
+                     for y, conf in zip(probs.tolist(), confs)])
     write_csv(os.path.join(cfg.output_dir, "risk.csv"),
-              ["instance", "predicted_probability", "conditional_risk"], rows)
+              ["instance", "predicted_probability", "conditional_risk"],
+              [test_idx, probs, risk])
     return {
         "command": "risk",
-        "n_evaluated": len(rows),
-        "mean_risk": float(np.mean([r[2] for r in rows])),
+        "n_evaluated": len(risk),
+        "mean_risk": float(np.mean(risk)),
         "risk_file": "risk.csv",
     }
 

@@ -241,18 +241,21 @@ def loss_and_grad_vec(y: np.ndarray, y_true: np.ndarray,
         active = margin > 0.0
         return np.where(active, margin, 0.0), np.where(active, -2.0 * t, 0.0)
 
-    # One pass over shared intermediates. Where |y - y_true| >= 0.5 (the
-    # misclassified and sigma-boundary pieces) gamma is 0, so the value
-    # 1/(1 + e^{-gap} - 1) is e^{gap}; elsewhere sigma is 0 and the
-    # prediction is correct, so the value is 1/(1 + lam*(2y-1)^2).
-    gap = np.abs(y - yt)
-    sigma_active = gap >= 0.5
-    egap = np.exp(gap)
-    lam = np.where(yt == 0.0, params.lambda1, params.lambda2)
+    # Where |y - y_true| >= 0.5 gamma is 0, so the value 1/(1 + e^{-gap} - 1)
+    # is e^{gap}; elsewhere sigma is 0 and the prediction is correct.
+    correct, misclassified, d_correct, d_misclassified = pieces(y, yt, params)
+    sigma_active = np.abs(y - yt) >= 0.5
+    return (np.where(sigma_active, misclassified, correct),
+            np.where(sigma_active, d_misclassified, d_correct))
+
+
+def pieces(y, y_true, params: LossParams) -> tuple[np.ndarray, ...]:
+    """(correct, misclassified, d_correct, d_misclassified) at every instance,
+    active or not: 1/(1 + lam*(2y-1)^2), lam chosen by the true class, and
+    e^{|y_true - y|}, with their derivatives d/dy (from the left at y == y_true)."""
+    egap = np.exp(np.abs(y - y_true))
+    lam = np.where(y_true == 0.0, params.lambda1, params.lambda2)
     m = 2.0 * y - 1.0
     lam_m = lam * m
     denom = 1.0 + lam_m * m
-    vals = np.where(sigma_active, egap, 1.0 / denom)
-    grads = np.where(sigma_active, np.where(y > yt, egap, -egap),
-                     -4.0 * lam_m / (denom * denom))
-    return vals, grads
+    return 1.0 / denom, egap, -4.0 * lam_m / (denom * denom), np.where(y > y_true, egap, -egap)

@@ -144,6 +144,16 @@ def forward_single_layer(weights: np.ndarray, x: np.ndarray) -> float:
     return float(sigmoid(np.array([w @ xv]))[0])
 
 
+def _checked_input(model: MlpModel, x) -> np.ndarray:
+    """`x` as an at least 2-D float array, finite and as wide as the model's input."""
+    xa = np.atleast_2d(np.asarray(x, dtype=float))
+    if xa.shape[-1] != model.input_dim:
+        raise ValueError(f"input dim {xa.shape[-1]} != model input dim {model.input_dim}")
+    if not np.isfinite(xa).all():
+        raise ValueError("non-finite input")
+    return xa
+
+
 def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
             rng: np.random.Generator | None = None,
             masks: list[np.ndarray | None] | None = None) -> ForwardTrace:
@@ -157,11 +167,7 @@ def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
     (one per layer, None where the layer has no dropout); Infer mode is
     deterministic and applies no masks.
     """
-    xa = np.atleast_2d(np.asarray(x, dtype=float))
-    if xa.shape[-1] != model.input_dim:
-        raise ValueError(f"input dim {xa.shape[-1]} != model input dim {model.input_dim}")
-    if not np.isfinite(xa).all():
-        raise ValueError("non-finite input")
+    xa = _checked_input(model, x)
     if mode is Mode.TRAIN and rng is None and masks is None:
         raise ValueError("Train mode requires a random generator")
 
@@ -288,6 +294,11 @@ def build_boundary_model(input_dim: int, seed: int) -> MlpModel:
 
 
 def predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Deterministic inference probabilities for a batch ((B, n) for a
-    stacked model)."""
-    return forward(model, X, Mode.INFER).output
+    """`forward(model, X, Mode.INFER).output` ((B, n) for a stacked model),
+    holding only the running activation rather than a per-layer trace."""
+    a = _checked_input(model, X)
+    for layer in model.layers:
+        z = np.matmul(a, layer.weights.swapaxes(-1, -2))
+        z += layer.biases[..., None, :]
+        a = np.maximum(z, 0.0, out=z) if layer.activation is Activation.RELU else sigmoid(z)
+    return a[..., 0]

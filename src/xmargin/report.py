@@ -3,7 +3,8 @@
 Payload files (the structured report and any CSV tables) are byte-stable
 for a fixed config and seed; wall-clock timing goes to a separate meta
 file that is excluded from determinism comparisons. All files are written
-atomically (write to a temp name, then rename).
+atomically (write to a temp name, then rename) as UTF-8, whatever the
+locale. CSV tables are written from columns, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def atomic_write(path: str, chunks) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -69,21 +70,31 @@ def write_report(path: str, sections: dict) -> None:
     atomic_write(path, [render_report(sections)])
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Rectangular CSV with a header row; floats serialized with repr so
-    identical runs emit identical bytes. The rows (a sequence) are
-    formatted and written in blocks, never held as one string."""
-    ncols = len(header)
+_KIND_FORMATS = {"f": repr, "i": str, "u": str, "b": ("false", "true").__getitem__}
 
-    def line(row) -> str:
-        if len(row) != ncols:
-            raise ValueError(f"ragged row: {row!r}")
-        return ",".join(map(_fmt, row)) + "\n"
 
+def _cells(col):
+    """A column block's cells as `_fmt` formats them, by dtype for an array."""
+    fmt = _KIND_FORMATS.get(col.dtype.kind) if isinstance(col, np.ndarray) else None
+    return map(_fmt, col) if fmt is None else map(fmt, col.tolist())
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Rectangular CSV with a header row, from one column (a numpy array or
+    a list) per header name; floats serialized with repr so identical runs
+    emit identical bytes. Rows are formatted and written in blocks."""
+    lengths = [len(col) for col in columns]
+    if len(lengths) != len(header) or len(set(lengths)) > 1:
+        raise ValueError(f"ragged columns: {len(header)} names, lengths {lengths}")
     block = 4096
+
+    def lines(lo: int) -> str:
+        cells = (_cells(col[lo:lo + block]) for col in columns)
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
+
     atomic_write(path, itertools.chain(
         [",".join(header) + "\n"],
-        ("".join(map(line, rows[lo:lo + block])) for lo in range(0, len(rows), block))))
+        map(lines, range(0, lengths[0] if lengths else 0, block))))
 
 
 def write_meta(path: str, elapsed_seconds: float, version: str) -> None:

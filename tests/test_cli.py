@@ -1,14 +1,20 @@
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import xmargin
 from xmargin.cli import main, parse_variant
 from xmargin.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text, validate)
 from xmargin.loss_core import LossFamily
-from xmargin.report import render_report, write_csv
+from xmargin.report import _fmt, render_report, write_csv
 
 
 def make_dataset(path, n0=20, n1=20, d=4, seed=0):
@@ -117,14 +123,88 @@ class TestReportRendering:
         assert "  none: null" in text
         assert "  list: [1, 0.25]" in text
 
-    def test_csv_rejects_ragged_rows(self, tmp_path):
+    def test_csv_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError, match="ragged"):
-            write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2), (3,)])
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 3], np.array([2])])
+        with pytest.raises(ValueError, match="ragged"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 3]])
+        assert os.listdir(tmp_path) == []
 
     def test_csv_repr_floats(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["v"], [(0.1,)])
+        write_csv(path, ["v"], [np.array([0.1])])
         assert path.read_text() == "v\n0.1\n"
+
+
+def row_csv(header, rows) -> bytes:
+    """Oracle: the row-at-a-time format `write_csv` replaced, `_fmt` on
+    every cell of every row."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]).encode()
+
+
+def written(path, header, columns) -> bytes:
+    write_csv(path, header, columns)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.225073858507201e-308])
+SCALARS = st.one_of(
+    st.none(), st.text(), st.booleans(), st.integers(), FLOATS, FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_))
+
+
+class TestColumnWriter:
+    @given(st.integers(0, 30).flatmap(lambda n: st.tuples(*(
+        st.lists(cells, min_size=n, max_size=n)
+        for cells in (FLOATS, st.integers(-2**63, 2**63 - 1), st.booleans(), SCALARS)))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_oracle(self, tmp_path_factory, table):
+        floats, ints, bools, mixed = table
+        columns = [np.array(floats), np.array(ints, dtype=np.int64), np.array(bools), mixed]
+        header = ["f", "i", "b", "mixed"]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        assert written(path, header, columns) == row_csv(header, zip(*columns))
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
+    def test_block_edges_match_row_oracle(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+        floats[::97] = np.resize(specials, len(floats[::97]))
+        mixed = [("ok", None, 7, np.float64(0.25), np.int64(-3), "N/A")[i % 6]
+                 for i in range(n)]
+        columns = [floats, rng.integers(-10**15, 10**15, n), rng.random(n) < 0.5, mixed]
+        header = ["f", "i", "b", "mixed"]
+        assert written(tmp_path / "t.csv", header, columns) == row_csv(header, zip(*columns))
+
+    def test_memory_is_bounded_by_a_block(self, tmp_path):
+        n = 100_000
+        rng = np.random.default_rng(0)
+        columns = [rng.normal(size=n), rng.normal(size=n), rng.random(n),
+                   rng.integers(0, 2, n)]
+        header = ["x1", "x2", "probability", "hard_label"]
+        write_csv(tmp_path / "warm.csv", header, [c[:10] for c in columns])
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", header, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_atomic_write_is_utf8_under_an_ascii_locale(self, tmp_path):
+        text = "output_dir: out/ünïcødé/résumé ✓ 数据\n"
+        path = tmp_path / "report.txt"
+        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
+        code = ("import sys; from xmargin.report import atomic_write; "
+                f"atomic_write(sys.argv[1], [{ascii(text)}])")
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 class TestVariantParsing:

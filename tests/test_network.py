@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,3 +308,47 @@ class TestSigmoidReference:
     def test_far_negative_tail_is_not_flushed(self):
         assert float(sigmoid(np.array([-40.0]))[0]) == pytest.approx(
             math.exp(-40.0), rel=1e-12)
+
+
+class TestPredictProba:
+    def test_bitwise_equal_to_infer_forward(self):
+        model = build_experiment_model(6, seed=2)
+        X = np.random.default_rng(3).normal(size=(50, 6))
+        X_before = X.copy()
+        got = predict_proba(model, X)
+        assert got.shape == (50,)
+        assert got.tobytes() == forward(model, X, Mode.INFER).output.tobytes()
+        assert np.array_equal(X, X_before)
+        assert (predict_proba(model, X[0]).tobytes()
+                == forward(model, X[0], Mode.INFER).output.tobytes())
+
+    def test_stacked_bitwise_equal_to_infer_forward(self):
+        stack = MlpModel.stack([build_experiment_model(6, seed=s) for s in range(3)])
+        rng = np.random.default_rng(4)
+        for X in (rng.normal(size=(40, 6)), rng.normal(size=(3, 40, 6))):
+            got = predict_proba(stack, X)
+            assert got.shape == (3, 40)
+            assert got.tobytes() == forward(stack, X, Mode.INFER).output.tobytes()
+
+    @pytest.mark.parametrize("X", [np.zeros((4, 5)), np.array([[0.0, np.nan, 0, 0, 0, 0]]),
+                                   np.array([0.0, 0, 0, np.inf, 0, 0])])
+    def test_rejects_what_forward_rejects(self, X):
+        model = build_experiment_model(6, seed=1)
+        with pytest.raises(ValueError) as expected:
+            forward(model, X)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            predict_proba(model, X)
+
+    def test_keeps_no_per_layer_trace(self):
+        model = build_boundary_model(2, seed=3)
+        X = np.random.default_rng(0).normal(size=(100_000, 2))
+        predict_proba(model, X[:10])
+        tracemalloc.start()
+        try:
+            predict_proba(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the second layer's matmul needs the 8- and 4-wide hidden activations
+        # at once, 1.5x one 8-wide array; the rest is numpy's ufunc buffer
+        assert peak < 1.55 * (100_000 * 8 * 8)
