@@ -454,16 +454,16 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         cfg, payload = _dispatch(args)
+        write_report(os.path.join(cfg.output_dir, "report.txt"),
+                     {"config": cfg.echo(), "payload": payload})
+        write_meta(os.path.join(cfg.output_dir, "meta.txt"),
+                   time.monotonic() - started, __version__)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    sections = {"config": cfg.echo(), "payload": payload}
-    write_report(os.path.join(cfg.output_dir, "report.txt"), sections)
-    write_meta(os.path.join(cfg.output_dir, "meta.txt"),
-               time.monotonic() - started, __version__)
     print(f"report written to {os.path.join(cfg.output_dir, 'report.txt')}")
     return 0
 

@@ -6,9 +6,10 @@ reporting so a bad config fails with the full list at once.
 
 from __future__ import annotations
 
+import enum
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .data_pipeline import Scaling
 from .loss_core import LossFamily, LossParams
@@ -35,10 +36,9 @@ class ExperimentConfig:
     k: int = 10
     repeats: int = 20
     seed: int | None = None
-    scaling: Scaling = Scaling.MINMAX
+    scaling: Scaling = Scaling.ZSCORE
     test_fraction: float = 0.3
     output_dir: str = "out"
-    _source: dict = field(default_factory=dict, repr=False)
 
     def loss_params(self) -> LossParams:
         return LossParams(lambda1=self.lambda1, lambda2=self.lambda2,
@@ -50,25 +50,11 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """Complete effective configuration, defaults included, for report
         provenance."""
-        return {
-            "dataset": self.dataset,
-            "label_column": self.label_column,
-            "default_label": self.default_label,
-            "header": self.header,
-            "loss_family": self.loss_family.value,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "optimizer": self.optimizer.value,
-            "alpha": self.alpha,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "k": self.k,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "scaling": self.scaling.value,
-            "test_fraction": self.test_fraction,
-            "output_dir": self.output_dir,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.value if isinstance(value, enum.Enum) else value
+        return out
 
 
 _PARSERS = {
@@ -143,9 +129,7 @@ def load_config(path: str, overrides: list[str] = ()) -> ExperimentConfig:
             values[key] = _PARSERS[key](val.strip())
         except ValueError as exc:
             raise ConfigError(f"bad override value for {key}: {exc}") from None
-    cfg = ExperimentConfig(**values)
-    cfg._source = values
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def validate(cfg: ExperimentConfig, needs_dataset: bool = True) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import enum
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,38 +204,23 @@ class CvReport:
         return min(self.repeat_stds), max(self.repeat_stds)
 
 
-class _TrainingRows(Sequence):
-    """The scaled training matrix of each CV cell, scaled each time it is
-    read: whoever reads the cells holds only the matrices it keeps."""
-
-    def __init__(self, data: Dataset, scaling: Scaling, cells):
-        self._data, self._scaling, self._cells = data, scaling, cells
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        _, _, train_idx, _, stats = self._cells[i]
-        return apply_scaler(self._data.features[train_idx], self._scaling, stats)
-
-
 def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
-                seed: int, scaling: Scaling = Scaling.MINMAX) -> CvReport:
+                seed: int, scaling: Scaling = Scaling.ZSCORE) -> CvReport:
     """Repeated stratified k-fold cross-validation.
 
     Per repeat r a fresh FoldPlan is drawn with seed ``seed ^ r``; for each
     fold, scaling is fitted on the k-1 training folds. Every cell is handed
-    to one ``train_fn(train_Xs, train_ys, cell_seeds)`` call, as sequences
-    in (repeat, fold) order; ``train_Xs`` scales a cell's training rows when
-    they are read, so a ``train_fn`` that reads its cells a few at a time
-    holds only those. It returns an iterable (a list, or an iterator that
-    trains as it is read) with per cell a predictor (callable X ->
-    probability vector) or the exception the cell failed with, and
-    ``metric_fn(predictor, X, y)`` scores each held-out fold as its
-    predictor arrives, which is then let go. The first failed cell in
-    (repeat, fold) order is reported; an exception raised by ``train_fn``
-    fails the cell whose predictor it was to give, the first cell when
-    raised by the call itself.
+    to one ``train_fn(train_Xs, train_ys, cell_seeds)`` call, as iterables
+    in (repeat, fold) order; ``train_Xs`` can be read once, and scales a
+    cell's training rows when they are read, so a ``train_fn`` that reads
+    its cells a few at a time holds only those. It returns an iterable (a
+    list, or an iterator that trains as it is read) with per cell a
+    predictor (callable X -> probability vector) or the exception the cell
+    failed with, and ``metric_fn(predictor, X, y)`` scores each held-out
+    fold as its predictor arrives, which is then let go. The first failed
+    cell in (repeat, fold) order is reported; an exception raised by
+    ``train_fn`` fails the cell whose predictor it was to give, the first
+    cell when raised by the call itself.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -252,7 +236,8 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
             cells.append((r, fold, train_idx, test_mask, stats))
             train_ys.append(data.labels[train_idx])
             seeds.append((seed ^ r) * 1000 + fold)
-    train_Xs = _TrainingRows(data, scaling, cells)
+    train_Xs = (apply_scaler(data.features[train_idx], scaling, stats)
+                for _, _, train_idx, _, stats in cells)
 
     def failure(r, fold, exc):
         return RuntimeError(f"CV cell failed at repeat {r}, fold {fold}: {exc}")

@@ -107,7 +107,8 @@ class LabelConfidence:
     p1: float
 
     def __post_init__(self):
-        if self.p0 < 0 or self.p1 < 0 or abs(self.p0 + self.p1 - 1.0) > 1e-12:
+        # written so that a NaN fails it
+        if not (self.p0 >= 0 and self.p1 >= 0 and abs(self.p0 + self.p1 - 1.0) <= 1e-12):
             raise ValueError(f"confidence must be a distribution, got ({self.p0}, {self.p1})")
 
 

@@ -52,7 +52,6 @@ class Layer:
 @dataclass
 class MlpModel:
     layers: list[Layer]
-    seed: int = 0
     # every layer's weights then biases, in order; each Layer.weights and
     # Layer.biases is a view into it, so writes through either reach both.
     # A stacked model has one such row per model: flat is (B, P), weights
@@ -89,8 +88,7 @@ class MlpModel:
         return cls(layers=[Layer(np.stack([m.layers[i].weights for m in models]),
                                  np.stack([m.layers[i].biases for m in models]),
                                  l.activation, l.dropout_rate)
-                           for i, l in enumerate(first.layers)],
-                   seed=first.seed)
+                           for i, l in enumerate(first.layers)])
 
     def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weights, biases) views of an array laid out like `flat`
@@ -110,11 +108,8 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         # the new model copies these views into a buffer of its own
-        return MlpModel(
-            layers=[Layer(l.weights, l.biases, l.activation, l.dropout_rate)
-                    for l in self.layers],
-            seed=self.seed,
-        )
+        return MlpModel([Layer(l.weights, l.biases, l.activation, l.dropout_rate)
+                         for l in self.layers])
 
     def parameters(self) -> list[np.ndarray]:
         return [p for l in self.layers for p in (l.weights, l.biases)]
@@ -268,7 +263,7 @@ def build_mlp(input_dim: int, spec: list[tuple[int, Activation, float]],
             dropout_rate=rate,
         ))
         fan_in = width
-    return MlpModel(layers=layers, seed=seed)
+    return MlpModel(layers=layers)
 
 
 def build_experiment_model(input_dim: int, seed: int) -> MlpModel:

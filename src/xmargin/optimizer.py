@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .loss_core import LossParams, loss_and_grad_vec
-from .network import Gradients, MlpModel, Mode, backward, forward, predict_proba
+from .network import MlpModel, Mode, backward, forward, predict_proba
 
 
 class Method(enum.Enum):
@@ -35,24 +35,22 @@ class Method(enum.Enum):
         return aliases[key]
 
 
+# RMSprop's constants as the rule was introduced (Tieleman & Hinton, 2012,
+# lecture 6.5): the accumulator's decay, and the stabiliser added to its root
+DECAY = 0.9
+EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerConfig:
     method: Method = Method.RMSPROP
     alpha: float = 0.001
-    decay: float = 0.9
-    epsilon_stab: float = 1e-8
-    # subgradient steps are not descent steps, so retain the best iterate
-    track_best: bool = True
 
     def __post_init__(self):
         # alpha == 0 is tolerated as an explicit null step (used by
         # do-nothing baselines); negative steps are rejected
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and non-negative")
-        if not (0.0 < self.decay < 1.0):
-            raise ValueError("decay must be in (0, 1)")
-        if not (self.epsilon_stab > 0):
-            raise ValueError("epsilon_stab must be positive")
 
 
 @dataclass
@@ -75,29 +73,19 @@ class TrainState:
     # it per step costs page faults once the model is stacked
     scratch: np.ndarray | None = field(default=None, repr=False)
 
-    def _flat_grad(self, grads, consume: bool = False) -> np.ndarray:
-        """The [(dW, db), ...] bundle as one array laid out like the model's
-        `flat`, which the step may overwrite; raises, before anything is
-        updated, on a shape mismatch or a non-finite entry. A `Gradients`
-        bundle gives a copy of its `flat`, or with `consume` that array."""
-        arrays = [g for pair in grads for g in pair]
-        shapes = [p.shape for p in self.model.parameters()]
-        if [g.shape for g in arrays] != shapes:
-            raise ValueError(f"gradient shapes do not match parameter shapes {shapes}")
-        lead = self.model.flat.shape[:-1]
-        flat = (grads.flat if isinstance(grads, Gradients)
-                else np.concatenate([g.reshape(lead + (-1,)) for g in arrays],
-                                    axis=-1, dtype=float))
-        if not np.isfinite(flat).all():
+    def _check_grad(self, g: np.ndarray) -> None:
+        """Raise, before anything is updated, unless `g` is laid out like the
+        model's `flat` and finite."""
+        if g.shape != self.model.flat.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match "
+                             f"parameter shape {self.model.flat.shape}")
+        if not np.isfinite(g).all():
             raise ValueError("non-finite gradient; step rejected")
-        return flat.copy() if isinstance(grads, Gradients) and not consume else flat
 
     def note_loss(self, loss: float | np.ndarray) -> None:
         """Snapshot each model whose minibatch loss is a new low: its row of
         `best_params` is overwritten in place with its current parameters,
         and the other rows keep their earlier snapshots."""
-        if not self.config.track_best:
-            return
         better = np.less(loss, self.best_loss)
         if better.any():
             self.best_loss = np.where(better, loss, self.best_loss)
@@ -114,36 +102,34 @@ class TrainState:
         return out
 
 
-def subgradient_step(state: TrainState, grads, alpha: float, *,
-                     consume: bool = False) -> TrainState:
-    """theta <- theta - alpha * g for every parameter; increments t. The
-    caller's gradients are left as they are, unless `consume` hands the
-    array of a `Gradients` bundle over to be overwritten."""
-    g = state._flat_grad(grads, consume)
-    np.multiply(alpha, g, out=g)
+def subgradient_step(state: TrainState, g: np.ndarray) -> TrainState:
+    """theta <- theta - alpha * g, for the gradient `g` laid out like
+    `state.model.flat`; increments t. The step overwrites `g`."""
+    state._check_grad(g)
+    np.multiply(state.config.alpha, g, out=g)
     state.model.flat -= g
     state.t += 1
     return state
 
 
-def rmsprop_step(state: TrainState, grads, config: OptimizerConfig, *,
-                 consume: bool = False) -> TrainState:
-    """v <- decay*v + (1-decay)*g^2; theta <- theta - alpha*g/(sqrt(v)+eps).
-    The step is finished in the gradient's array, so one work array is
-    enough; that array is a copy unless `consume` hands over the caller's."""
-    g = state._flat_grad(grads, consume)
+def rmsprop_step(state: TrainState, g: np.ndarray) -> TrainState:
+    """v <- DECAY*v + (1-DECAY)*g^2; theta <- theta - alpha*g/(sqrt(v)+EPSILON),
+    for the gradient `g` laid out like `state.model.flat`; increments t. The
+    step is finished in `g`, which it overwrites, so one work array is
+    enough."""
+    state._check_grad(g)
     if state.accumulators is None:
         state.accumulators = np.zeros_like(g)
     if state.scratch is None:
         state.scratch = np.empty_like(g)
     v, tmp = state.accumulators, state.scratch
-    v *= config.decay
-    np.multiply(1.0 - config.decay, g, out=tmp)
+    v *= DECAY
+    np.multiply(1.0 - DECAY, g, out=tmp)
     tmp *= g
     v += tmp
     np.sqrt(v, out=tmp)
-    tmp += config.epsilon_stab
-    np.multiply(config.alpha, g, out=g)
+    tmp += EPSILON
+    np.multiply(state.config.alpha, g, out=g)
     g /= tmp
     state.model.flat -= g
     state.t += 1
@@ -189,7 +175,7 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
-    model: MlpModel          # best-so-far iterate when tracked, else final
+    model: MlpModel          # best-so-far iterate
     final_model: MlpModel
     history: list[EpochRecord] = field(default_factory=list)
 
@@ -255,7 +241,7 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     had then. Every other entry is a TrainResult. Its final model is the
     input model, whose parameters are now a row of the stack's (B, P) array:
     the input models' own buffers are let go when training starts. Its best
-    model, when tracked, is a row of the stack's best-iterate snapshot.
+    model is a row of the stack's best-iterate snapshot.
     With `evals` (one (X, y) per model) each epoch records accuracies.
     """
     if epochs < 1:
@@ -310,12 +296,12 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
         models[b].bind(stack.flat[b].copy())
         stack.flat[b] = 0.0  # keeps the dead model's rows finite from here on
 
-    def step(grads) -> None:
-        # the step may overwrite the gradient: the next backward refills it
+    def step(g: np.ndarray) -> None:
+        # the step overwrites the gradient: the next backward refills it
         if config.method is Method.SUBGRADIENT:
-            subgradient_step(state, grads, config.alpha, consume=True)
+            subgradient_step(state, g)
         else:
-            rmsprop_step(state, grads, config, consume=True)
+            rmsprop_step(state, g)
 
     history = [[] for _ in range(n_models)]
     losses = np.empty((n_models, n_steps))
@@ -368,13 +354,13 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                 if state.accumulators is not None:
                     held = state.accumulators[~rows]
             try:
-                step(grads)
+                step(grads.flat)
             except ValueError:
                 bad = ~np.isfinite(grads.flat).all(axis=-1)
                 for b in np.flatnonzero(bad):
                     fail(b, ValueError("non-finite gradient; step rejected"))
                 grads.flat[bad] = 0.0
-                step(grads)
+                step(grads.flat)
             if held is not None:
                 state.accumulators[~rows] = held
             if not alive.any():
@@ -391,10 +377,10 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
             history[b].append(EpochRecord(epoch, float(losses[b, :batches[b]].mean()),
                                           train_acc, eval_acc))
 
+    # every model still alive took a first step with a finite loss, so the
+    # snapshot exists
     for b in np.flatnonzero(alive):
-        best = models[b]
-        if state.best_params is not None:
-            best = models[b].copy()
-            best.bind(state.best_params[b])
+        best = models[b].copy()
+        best.bind(state.best_params[b])
         outcomes[b] = TrainResult(model=best, final_model=models[b], history=history[b])
     return outcomes

@@ -85,6 +85,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config("/nonexistent.cfg")
 
+    def test_scaling_defaults_to_zscore(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["loss-curve", "--config", str(cfg), "--samples", "3"]) == 0
+        assert "  scaling: zscore\n" in (tmp_path / "out" / "report.txt").read_text()
+
     def test_bool_parsing(self):
         assert parse_config_text("header = true\n")["header"] is True
         assert parse_config_text("header = 0\n")["header"] is False
@@ -235,6 +241,14 @@ class TestExitCodes:
         # k larger than the smaller class fails inside the CV machinery
         assert main(["cv", "--config", str(workspace["cfg"]),
                      "--override", "k=50"]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    def test_unwritable_output_dir_is_two(self, workspace, capsys, command):
+        blocker = workspace["tmp"] / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        assert main([command, "--config", str(workspace["cfg"]), "--override",
+                     f"output_dir={blocker / 'out'}"]) == 2
         assert "runtime failure" in capsys.readouterr().err
 
     def test_success_is_zero(self, workspace):
@@ -456,4 +470,10 @@ class TestMalformedFlagsExitOne:
     def test_confidence_not_a_distribution(self, workspace, capsys):
         assert main(["risk", "--config", str(workspace["cfg"]),
                      "--confidence", "0.3,0.3"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("confidence", ["nan,nan", "nan,1"])
+    def test_confidence_not_finite(self, workspace, capsys, confidence):
+        assert main(["risk", "--config", str(workspace["cfg"]),
+                     "--confidence", confidence]) == 1
         assert "error:" in capsys.readouterr().err

@@ -272,7 +272,7 @@ class TestRepeatedCv:
         def recording_fn(tag):
             def fn(Xs, ys, cell_seeds):
                 seen.setdefault(tag, []).extend(X.copy() for X in Xs)
-                return [lambda Xe: np.full(len(Xe), 0.75) for _ in Xs]
+                return [lambda Xe: np.full(len(Xe), 0.75) for _ in ys]
             return fn
 
         repeated_cv(base, 2, 1, recording_fn("a"), accuracy_metric,

@@ -129,7 +129,8 @@ class TestLabelConfidence:
     def test_valid(self):
         LabelConfidence(0.3, 0.7)
 
-    @pytest.mark.parametrize("p0,p1", [(0.5, 0.6), (-0.1, 1.1), (0.2, 0.2)])
+    @pytest.mark.parametrize("p0,p1", [(0.5, 0.6), (-0.1, 1.1), (0.2, 0.2),
+                                       (math.nan, math.nan), (math.nan, 1.0)])
     def test_invalid(self, p0, p1):
         with pytest.raises(ValueError):
             LabelConfidence(p0, p1)

@@ -6,7 +6,7 @@ import pytest
 from xmargin.loss_core import LossParams, xtreme_margin_loss
 from xmargin.network import (Activation, Layer, MlpModel, build_boundary_model,
                              forward_single_layer, predict_proba)
-from xmargin.optimizer import (Method, OptimizerConfig, TrainState,
+from xmargin.optimizer import (DECAY, EPSILON, Method, OptimizerConfig, TrainState,
                                rmsprop_step, subgradient_step, train,
                                verify_subgradient)
 
@@ -17,25 +17,25 @@ def one_param_model(w0=0.0, b0=0.0):
 
 
 def grads_like(model, fill):
-    return [(np.full_like(l.weights, fill), np.full_like(l.biases, fill))
-            for l in model.layers]
+    return np.full_like(model.flat, fill)
+
+
+def state_of(model, **config):
+    return TrainState(model=model, config=OptimizerConfig(**config))
 
 
 class TestConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
-        assert cfg.method is Method.RMSPROP
-        assert cfg.alpha == 0.001 and cfg.decay == 0.9 and cfg.epsilon_stab == 1e-8
-        assert cfg.track_best
+        assert cfg.method is Method.RMSPROP and cfg.alpha == 0.001
+        assert (DECAY, EPSILON) == (0.9, 1e-8)
 
     def test_null_step_allowed_negative_rejected(self):
         OptimizerConfig(alpha=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(alpha=-0.1)
 
-    @pytest.mark.parametrize("bad", [{"decay": 0.0}, {"decay": 1.0},
-                                     {"epsilon_stab": 0.0},
-                                     {"alpha": float("nan")}])
+    @pytest.mark.parametrize("bad", [{"alpha": float("nan")}])
     def test_invalid_fields(self, bad):
         with pytest.raises(ValueError):
             OptimizerConfig(**bad)
@@ -48,72 +48,61 @@ class TestConfig:
 
 
 class TestSubgradientStep:
+    # a one-parameter model's flat layout is [weight, bias]
     def test_linear_update(self):
         model = one_param_model(1.0, 2.0)
-        state = TrainState(model=model, config=OptimizerConfig())
-        subgradient_step(state, [(np.array([[10.0]]), np.array([-10.0]))], 0.1)
+        state = state_of(model, alpha=0.1)
+        subgradient_step(state, np.array([10.0, -10.0]))
         assert model.layers[0].weights[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert model.layers[0].biases[0] == pytest.approx(3.0, abs=1e-15)
         assert state.t == 1
 
     def test_zero_gradient_no_motion(self):
         model = one_param_model(0.5, -0.5)
-        state = TrainState(model=model, config=OptimizerConfig())
-        subgradient_step(state, grads_like(model, 0.0), 5.0)
+        subgradient_step(state_of(model, alpha=5.0), grads_like(model, 0.0))
         assert model.layers[0].weights[0, 0] == 0.5
         assert model.layers[0].biases[0] == -0.5
 
     def test_rejects_shape_mismatch(self):
         model = one_param_model()
-        state = TrainState(model=model, config=OptimizerConfig())
-        with pytest.raises(ValueError):
-            subgradient_step(state, [(np.zeros((2, 2)), np.zeros(1))], 0.1)
+        with pytest.raises(ValueError, match="does not match parameter shape"):
+            subgradient_step(state_of(model, alpha=0.1), np.zeros(3))
 
     def test_rejects_non_finite_gradient(self):
         model = one_param_model()
-        state = TrainState(model=model, config=OptimizerConfig())
         with pytest.raises(ValueError):
-            subgradient_step(state, [(np.array([[np.inf]]), np.zeros(1))], 0.1)
+            subgradient_step(state_of(model, alpha=0.1), np.array([np.inf, 0.0]))
 
 
 class TestRmspropStep:
     def test_first_step_magnitude(self):
         # v = 0.1 g^2, step = alpha*g/(sqrt(v)+eps) ~ alpha/sqrt(0.1)
-        cfg = OptimizerConfig(alpha=0.01)
         model = one_param_model(0.0, 0.0)
-        state = TrainState(model=model, config=cfg)
-        rmsprop_step(state, [(np.array([[2.0]]), np.array([0.0]))], cfg)
+        rmsprop_step(state_of(model, alpha=0.01), np.array([2.0, 0.0]))
         g = 2.0
         expected = 0.01 * g / (math.sqrt(0.1 * g * g) + 1e-8)
         assert model.layers[0].weights[0, 0] == pytest.approx(-expected, rel=1e-9)
         assert model.layers[0].biases[0] == 0.0
 
     def test_zero_gradient_unchanged(self):
-        cfg = OptimizerConfig(alpha=0.5)
         model = one_param_model(0.7, 0.0)
-        state = TrainState(model=model, config=cfg)
-        rmsprop_step(state, grads_like(model, 0.0), cfg)
+        rmsprop_step(state_of(model, alpha=0.5), grads_like(model, 0.0))
         assert model.layers[0].weights[0, 0] == 0.7
 
     def test_step_size_saturates_near_alpha(self):
         # constant gradient: v -> g^2, so |step| -> alpha
-        cfg = OptimizerConfig(alpha=0.1)
         model = one_param_model(0.0, 0.0)
-        state = TrainState(model=model, config=cfg)
-        prev = 0.0
+        state = state_of(model, alpha=0.1)
         for _ in range(200):
-            rmsprop_step(state, [(np.array([[3.0]]), np.array([0.0]))], cfg)
+            rmsprop_step(state, np.array([3.0, 0.0]))
         last = model.layers[0].weights[0, 0]
-        for _ in range(1):
-            rmsprop_step(state, [(np.array([[3.0]]), np.array([0.0]))], cfg)
+        rmsprop_step(state, np.array([3.0, 0.0]))
         step = abs(model.layers[0].weights[0, 0] - last)
-        assert step == pytest.approx(cfg.alpha, rel=1e-3)
+        assert step == pytest.approx(state.config.alpha, rel=1e-3)
 
     def test_accumulator_per_parameter(self):
-        cfg = OptimizerConfig(alpha=0.1)
         model = one_param_model(0.0, 0.0)
-        state = TrainState(model=model, config=cfg)
-        rmsprop_step(state, [(np.array([[1.0]]), np.array([100.0]))], cfg)
+        rmsprop_step(state_of(model, alpha=0.1), np.array([1.0, 100.0]))
         # both see the same normalized first step despite scale difference
         assert abs(model.layers[0].weights[0, 0]) == pytest.approx(
             abs(model.layers[0].biases[0]), rel=1e-6)
@@ -284,26 +273,15 @@ class TestFlatUpdate:
         for _ in range(3):
             grads = self.real_gradients(model)
             flat_g = [g.copy() for pair in grads for g in pair]
-            rmsprop_step(state, grads, cfg)
+            rmsprop_step(state, grads.flat)
             for p, g, v in zip(ref_params, flat_g, ref_acc):
-                v *= cfg.decay
-                v += (1.0 - cfg.decay) * g * g
-                p -= cfg.alpha * g / (np.sqrt(v) + cfg.epsilon_stab)
+                v *= DECAY
+                v += (1.0 - DECAY) * g * g
+                p -= cfg.alpha * g / (np.sqrt(v) + EPSILON)
             for p, ref in zip(model.parameters(), ref_params):
                 assert np.array_equal(p, ref)
         acc = np.concatenate([v.ravel() for v in ref_acc])
         assert np.array_equal(state.accumulators, acc)
-
-    def test_hand_built_bundle_matches_backward_bundle(self):
-        from xmargin.network import build_experiment_model
-        cfg = OptimizerConfig(alpha=0.01)
-        a = build_experiment_model(7, seed=5)
-        b = a.copy()
-        grads = self.real_gradients(a)
-        hand = [(dw.copy(), db.copy()) for dw, db in grads]
-        rmsprop_step(TrainState(model=a, config=cfg), grads, cfg)
-        rmsprop_step(TrainState(model=b, config=cfg), hand, cfg)
-        assert np.array_equal(a.flat, b.flat)
 
     @pytest.mark.parametrize("method", [Method.RMSPROP, Method.SUBGRADIENT])
     def test_non_finite_gradient_leaves_state_untouched(self, method):
@@ -311,15 +289,14 @@ class TestFlatUpdate:
         cfg = OptimizerConfig(method=method, alpha=0.01)
         model = build_experiment_model(7, seed=5)
         state = TrainState(model=model, config=cfg)
-        step = (lambda g: rmsprop_step(state, g, cfg)) if method is Method.RMSPROP \
-            else (lambda g: subgradient_step(state, g, cfg.alpha))
-        step(self.real_gradients(model))
+        step = rmsprop_step if method is Method.RMSPROP else subgradient_step
+        step(state, self.real_gradients(model).flat)
         params = model.flat.copy()
         acc = None if state.accumulators is None else state.accumulators.copy()
         bad = self.real_gradients(model)
         bad[2][0][1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite gradient"):
-            step(bad)
+            step(state, bad.flat)
         assert np.array_equal(model.flat, params)
         if acc is not None:
             assert np.array_equal(state.accumulators, acc)
@@ -336,7 +313,7 @@ class TestFlatUpdate:
         best = state.best_model()
         assert np.array_equal(best.flat, [1.3, 1.1])
         model.flat += 1.0
-        rmsprop_step(state, grads_like(model, 0.5), state.config)
+        rmsprop_step(state, grads_like(model, 0.5))
         assert np.array_equal(state.best_model().flat, [1.3, 1.1])
         assert np.array_equal(best.flat, [1.3, 1.1])
         assert not np.shares_memory(state.best_params, model.flat)
@@ -362,24 +339,5 @@ class TestFlatUpdate:
         assert not np.shares_memory(res.model.flat, res.final_model.flat)
         best = res.model.flat.copy()
         state = TrainState(model=res.final_model, config=cfg)
-        rmsprop_step(state, grads_like(res.final_model, 0.5), cfg)
+        rmsprop_step(state, grads_like(res.final_model, 0.5))
         assert np.array_equal(res.model.flat, best)
-
-    @pytest.mark.parametrize("method", [Method.RMSPROP, Method.SUBGRADIENT])
-    def test_step_leaves_the_callers_gradients_unless_consumed(self, method):
-        from xmargin.network import build_experiment_model
-        cfg = OptimizerConfig(method=method, alpha=0.01)
-        a = build_experiment_model(7, seed=5)
-        b = a.copy()
-        grads = self.real_gradients(a)
-        before = grads.flat.copy()
-        sa, sb = TrainState(model=a, config=cfg), TrainState(model=b, config=cfg)
-        if method is Method.RMSPROP:
-            rmsprop_step(sa, grads, cfg)
-            assert np.array_equal(grads.flat, before)
-            rmsprop_step(sb, grads, cfg, consume=True)
-        else:
-            subgradient_step(sa, grads, cfg.alpha)
-            assert np.array_equal(grads.flat, before)
-            subgradient_step(sb, grads, cfg.alpha, consume=True)
-        assert np.array_equal(a.flat, b.flat)

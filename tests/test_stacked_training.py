@@ -32,8 +32,7 @@ EPOCHS = 6
 BATCH = 4
 CONFIGS = {
     "rmsprop": OptimizerConfig(alpha=0.01),
-    "subgradient": OptimizerConfig(method=Method.SUBGRADIENT, alpha=0.05,
-                                   track_best=True),
+    "subgradient": OptimizerConfig(method=Method.SUBGRADIENT, alpha=0.05),
 }
 
 
@@ -55,9 +54,9 @@ def train_one(model, X, y, loss, config, epochs, batch_size, rng):
                     f"non-finite training loss at epoch {epoch}, step {state.t}")
             grads = backward(trace, state.model, dvals / len(idx))
             if config.method is Method.SUBGRADIENT:
-                subgradient_step(state, grads, config.alpha)
+                subgradient_step(state, grads.flat)
             else:
-                rmsprop_step(state, grads, config)
+                rmsprop_step(state, grads.flat)
             state.note_loss(batch_mean)
             epoch_losses.append(batch_mean)
         history.append(float(np.mean(epoch_losses)))
@@ -88,6 +87,7 @@ def stacked_fn(config, sabotage_seed=None):
     the model of `sabotage_seed` gets first-layer weights that overflow."""
 
     def fn(Xs, ys, seeds):
+        Xs = list(Xs)  # read twice below; repeated_cv's train_Xs can be read once
         models = [build_experiment_model(X.shape[1], s) for X, s in zip(Xs, seeds)]
         for m, s in zip(models, seeds):
             if s == sabotage_seed:
