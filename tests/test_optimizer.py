@@ -35,7 +35,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(alpha=-0.1)
 
-    @pytest.mark.parametrize("bad", [{"alpha": float("nan")}])
+    # every invalid value left to OptimizerConfig is a bad alpha; the nan
+    # case keeps its place as the fourth entry of the table
+    @pytest.mark.parametrize("bad", [{"alpha": float("inf")},
+                                     {"alpha": -float("inf")},
+                                     {"alpha": -1e-300},
+                                     {"alpha": float("nan")}])
     def test_invalid_fields(self, bad):
         with pytest.raises(ValueError):
             OptimizerConfig(**bad)
