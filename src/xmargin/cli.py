@@ -3,7 +3,8 @@
     xmargin <train|cv|grid|boundary|loss-curve|bias|risk> --config FILE
             [--override key=value ...] [command flags]
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration/validation error (a usage error
+included), 2 runtime failure.
 Every command writes a deterministic report (plus CSV payloads) into the
 configured output directory; wall-clock timing goes to a separate meta file.
 """
@@ -169,13 +170,13 @@ def cmd_cv(cfg: ExperimentConfig) -> dict:
     }
 
 
-def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[tuple[float, float]]) -> dict:
-    if not lambda_grid:
-        raise ConfigError("lambda grid must be non-empty")
+def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[LossParams]) -> dict:
+    """Repeated CV of each (lambda1, lambda2) cell of `lambda_grid`, with the
+    config's loss family."""
     data = _load_dataset(cfg)
     rows = []
     cells = []
-    for l1, l2 in lambda_grid:
+    for l1, l2 in ((p.lambda1, p.lambda2) for p in lambda_grid):
         cell_cfg = dataclasses.replace(cfg, lambda1=l1, lambda2=l2)
         try:
             rep = repeated_cv(data, cfg.k, cfg.repeats, _train_predictor_fn(cell_cfg),
@@ -205,9 +206,9 @@ def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[tuple[float, float]]) -> d
     }
 
 
-def cmd_boundary(cfg: ExperimentConfig, feature_pair: tuple[int, int],
+def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
                  resolution: int) -> dict:
-    f1, f2 = feature_pair
+    f1, f2 = features
     if f1 == f2:
         raise ConfigError("boundary features must be distinct")
     if resolution < 2:
@@ -324,22 +325,16 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
     return out
 
 
-def cmd_risk(cfg: ExperimentConfig, confidence_const: tuple[float, float] | None,
+def cmd_risk(cfg: ExperimentConfig, confidence: LabelConfidence | None,
              confidence_column: int | None) -> dict:
-    if (confidence_const is None) == (confidence_column is None):
+    if (confidence is None) == (confidence_column is None):
         raise ConfigError("exactly one of --confidence / --confidence-column is required")
-    const = None
-    if confidence_const is not None:
-        try:
-            const = LabelConfidence(*confidence_const)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     data = _load_dataset(cfg)
     if confidence_column is not None and not (0 <= confidence_column < data.d):
         raise ConfigError(f"confidence column {confidence_column} out of range")
     Xtr, ytr, Xte, _, test_idx = _split_and_scale(cfg, data)
-    confs = [const] * len(test_idx)
-    if const is None:
+    confs = [confidence] * len(test_idx)
+    if confidence is None:
         for i, inst in enumerate(test_idx):
             p1 = float(data.features[inst, confidence_column])
             try:
@@ -367,93 +362,105 @@ def cmd_risk(cfg: ExperimentConfig, confidence_const: tuple[float, float] | None
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _parse_pair(flag: str, text: str, kind=float) -> tuple:
-    """'a,b' -> (kind(a), kind(b)); anything else is a ConfigError."""
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, so that it exits 1 like every
+    other bad input. Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _flag_type(parse):
+    """`parse` as an argparse `type=`: the ValueError it raises becomes an
+    ArgumentTypeError, whose message argparse reports as it is."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def _pair(text: str, kind=float) -> tuple:
+    """'a,b' -> (kind(a), kind(b))."""
     try:
         a, b = (kind(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"{flag} needs two comma-separated {kind.__name__} "
-                          f"values, got {text!r}") from None
+        raise ValueError(f"needs two comma-separated {kind.__name__} values, "
+                         f"got {text!r}") from None
     return a, b
 
 
-def _parse_lambda_grid(text: str) -> list[tuple[float, float]]:
-    """'1,1;10,10;100,100' -> [(1,1), (10,10), (100,100)]."""
-    return [_parse_pair("--lambda-grid cell", cell.strip())
-            for cell in text.split(";") if cell.strip()]
+@_flag_type
+def _lambda_grid(text: str) -> list[LossParams]:
+    """'1,1;10,10' -> [LossParams(1, 1), LossParams(10, 10)]."""
+    cells = [LossParams(*_pair(cell.strip())) for cell in text.split(";") if cell.strip()]
+    if not cells:
+        raise ValueError("lambda grid must be non-empty")
+    return cells
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="xmargin", description=__doc__)
+    parser = _Parser(prog="xmargin", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
-    def common(p):
+    def command(name, run, help, needs_dataset=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
+        p.set_defaults(run=run, needs_dataset=needs_dataset)
+        return p
 
-    common(sub.add_parser("train", help="train once and export learning curves"))
-    common(sub.add_parser("cv", help="repeated stratified cross-validation"))
+    command("train", cmd_train, "train once and export learning curves")
+    command("cv", cmd_cv, "repeated stratified cross-validation")
 
-    p = sub.add_parser("grid", help="lambda grid search over repeated CV")
-    common(p)
-    p.add_argument("--lambda-grid", required=True,
+    p = command("grid", cmd_grid, "lambda grid search over repeated CV")
+    p.add_argument("--lambda-grid", type=_lambda_grid, required=True,
                    help="semicolon-separated l1,l2 cells, e.g. '1,1;10,10'")
 
-    p = sub.add_parser("boundary", help="2-feature decision boundary grid export")
-    common(p)
-    p.add_argument("--features", default="0,2", help="two feature indices, e.g. '0,2'")
+    p = command("boundary", cmd_boundary, "2-feature decision boundary grid export")
+    p.add_argument("--features", type=_flag_type(functools.partial(_pair, kind=int)),
+                   default="0,2", help="two feature indices, e.g. '0,2'")
     p.add_argument("--resolution", type=int, default=100)
 
-    p = sub.add_parser("loss-curve", help="loss-vs-probability table export")
-    common(p)
+    p = command("loss-curve", cmd_loss_curve, "loss-vs-probability table export",
+                needs_dataset=False)
     p.add_argument("--y-true", type=int, choices=(0, 1), default=1)
     p.add_argument("--samples", type=int, default=201)
 
-    p = sub.add_parser("bias", help="ensemble bias comparison across loss settings")
-    common(p)
+    p = command("bias", cmd_bias, "ensemble bias comparison across loss settings")
     p.add_argument("--variants", default="xm:1:50,xm:50:1,bce,hinge",
+                   type=_flag_type(lambda text: [parse_variant(v)
+                                                 for v in text.split(",") if v.strip()]),
                    help="comma-separated variants: xm:L1:L2, bce, hinge")
     p.add_argument("--ensemble-size", type=int, default=5)
 
-    p = sub.add_parser("risk", help="per-instance conditional risk evaluation")
-    common(p)
-    p.add_argument("--confidence", help="constant 'p0,p1' label confidence")
+    p = command("risk", cmd_risk, "per-instance conditional risk evaluation")
+    p.add_argument("--confidence", type=_flag_type(lambda text: LabelConfidence(*_pair(text))),
+                   help="constant 'p0,p1' label confidence")
     p.add_argument("--confidence-column", type=int,
                    help="feature column holding p1 per instance")
     return parser
 
 
-def _dispatch(args) -> dict:
-    cfg = load_config(args.config, args.override)
-    needs_dataset = args.command != "loss-curve"
-    validate(cfg, needs_dataset=needs_dataset)
-    if args.command == "train":
-        return cfg, cmd_train(cfg)
-    if args.command == "cv":
-        return cfg, cmd_cv(cfg)
-    if args.command == "grid":
-        return cfg, cmd_grid(cfg, _parse_lambda_grid(args.lambda_grid))
-    if args.command == "boundary":
-        return cfg, cmd_boundary(cfg, _parse_pair("--features", args.features, int),
-                                 args.resolution)
-    if args.command == "loss-curve":
-        return cfg, cmd_loss_curve(cfg, args.y_true, args.samples)
-    if args.command == "bias":
-        variants = [parse_variant(v) for v in args.variants.split(",") if v.strip()]
-        return cfg, cmd_bias(cfg, variants, args.ensemble_size)
-    if args.command == "risk":
-        const = _parse_pair("--confidence", args.confidence) if args.confidence else None
-        return cfg, cmd_risk(cfg, const, args.confidence_column)
-    raise ConfigError(f"unknown command {args.command}")
+def _dispatch(args) -> tuple[ExperimentConfig, dict]:
+    """Load and validate the config, make its output directory, and run the
+    command on its converted flags."""
+    flags = dict(vars(args))
+    cfg = load_config(flags.pop("config"), flags.pop("override"))
+    validate(cfg, needs_dataset=flags.pop("needs_dataset"))
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return cfg, flags.pop("run")(cfg, **flags)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        cfg, payload = _dispatch(args)
+        cfg, payload = _dispatch(build_parser().parse_args(argv))
         write_report(os.path.join(cfg.output_dir, "report.txt"),
                      {"config": cfg.echo(), "payload": payload})
         write_meta(os.path.join(cfg.output_dir, "meta.txt"),

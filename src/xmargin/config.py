@@ -57,27 +57,6 @@ class ExperimentConfig:
         return out
 
 
-_PARSERS = {
-    "dataset": str,
-    "label_column": int,
-    "default_label": str,
-    "header": lambda v: _parse_bool(v),
-    "loss_family": LossFamily.parse,
-    "lambda1": float,
-    "lambda2": float,
-    "optimizer": Method.parse,
-    "alpha": float,
-    "epochs": int,
-    "batch_size": int,
-    "k": int,
-    "repeats": int,
-    "seed": int,
-    "scaling": Scaling.parse,
-    "test_fraction": float,
-    "output_dir": str,
-}
-
-
 def _parse_bool(v: str) -> bool:
     low = str(v).strip().lower()
     if low in ("true", "1", "yes"):
@@ -87,26 +66,38 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"not a boolean: {v!r}")
 
 
+# each key's parser, from its field's annotation (a string under
+# `from __future__ import annotations`)
+_PARSERS = {f.name: {"str": str, "int": int, "int | None": int, "float": float,
+                     "bool": _parse_bool, "LossFamily": LossFamily.parse,
+                     "Method": Method.parse, "Scaling": Scaling.parse}[f.type]
+            for f in fields(ExperimentConfig)}
+
+
+def _parse_item(item: str, where: str, key_kind: str = "key") -> tuple:
+    """'key = value' -> (key, parsed value); each error message starts with
+    `where`."""
+    key, eq, val = (part.strip() for part in item.partition("="))
+    if not eq:
+        raise ConfigError(f"{where}expected 'key = value', got {item!r}")
+    if key not in _PARSERS:
+        raise ConfigError(f"{where}unknown {key_kind} {key!r}")
+    try:
+        return key, _PARSERS[key](val)
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad value for {key}: {exc}") from None
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse 'key = value' lines; '#' starts a comment; blank lines ignored."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = _PARSERS[key](val)
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
+        if line:
+            key, value = _parse_item(line, f"{source}:{lineno}: ")
+            if key in values:
+                raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+            values[key] = value
     return values
 
 
@@ -118,17 +109,7 @@ def load_config(path: str, overrides: list[str] = ()) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     values = parse_config_text(text, source=path)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown override key {key!r}")
-        try:
-            values[key] = _PARSERS[key](val.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad override value for {key}: {exc}") from None
+    values.update(_parse_item(item, "--override: ", "override key") for item in overrides)
     return ExperimentConfig(**values)
 
 
@@ -143,6 +124,7 @@ def validate(cfg: ExperimentConfig, needs_dataset: bool = True) -> None:
         elif not os.path.exists(cfg.dataset):
             problems.append(f"dataset file does not exist: {cfg.dataset}")
     for name, ok in [
+        ("seed", cfg.seed is None or cfg.seed >= 0),
         ("lambda1", cfg.lambda1 >= 0 and math.isfinite(cfg.lambda1)),
         ("lambda2", cfg.lambda2 >= 0 and math.isfinite(cfg.lambda2)),
         ("alpha", cfg.alpha >= 0 and math.isfinite(cfg.alpha)),

@@ -2,8 +2,8 @@
 
 Supports ReLU/Sigmoid activations and inverted dropout; a model's parameters
 live in one flat vector with per-layer views. The forward pass records what
-the backward pass needs (pre-activations, pre- and post-dropout activations,
-dropout masks) for plain reverse-mode accumulation of any scalar loss.
+the backward pass needs (pre- and post-dropout activations, dropout
+masks) for plain reverse-mode accumulation of any scalar loss.
 
 A stacked model (`MlpModel.stack`) holds B models of one architecture as a
 (B, P) flat array; forward and backward then carry a leading model axis and
@@ -120,8 +120,7 @@ class ForwardTrace:
     """Per-layer bookkeeping from one forward pass over a batch."""
 
     inputs: np.ndarray                 # (n, d), or (B, n, d) for a stacked model
-    pre_activations: list[np.ndarray]  # each (n, width) or (B, n, width)
-    raw_activations: list[np.ndarray]  # before dropout
+    raw_activations: list[np.ndarray]  # before dropout, each (n, width) or (B, n, width)
     activations: list[np.ndarray]      # after dropout
     masks: list[np.ndarray | None]     # inverted-dropout masks, None where none applied
     output: np.ndarray = field(init=False)  # (n,) or (B, n) probabilities
@@ -149,6 +148,13 @@ def _checked_input(model: MlpModel, x) -> np.ndarray:
     return xa
 
 
+def _dense(layer: Layer, a: np.ndarray) -> np.ndarray:
+    """activation(a @ W^T + b), computed in the matmul's own array."""
+    z = np.matmul(a, layer.weights.swapaxes(-1, -2))
+    z += layer.biases[..., None, :]
+    return np.maximum(z, 0.0, out=z) if layer.activation is Activation.RELU else sigmoid(z)
+
+
 def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
             rng: np.random.Generator | None = None,
             masks: list[np.ndarray | None] | None = None) -> ForwardTrace:
@@ -166,12 +172,10 @@ def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
     if mode is Mode.TRAIN and rng is None and masks is None:
         raise ValueError("Train mode requires a random generator")
 
-    pre, raw, act, used = [], [], [], []
+    raw, act, used = [], [], []
     a = xa
     for i, layer in enumerate(model.layers):
-        z = np.matmul(a, layer.weights.swapaxes(-1, -2)) + layer.biases[..., None, :]
-        h = np.maximum(z, 0.0) if layer.activation is Activation.RELU else sigmoid(z)
-        pre.append(z)
+        h = _dense(layer, a)
         raw.append(h)
         mask = None
         if mode is Mode.TRAIN and layer.dropout_rate > 0.0:
@@ -184,8 +188,7 @@ def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
         act.append(h)
         used.append(mask)
         a = h
-    return ForwardTrace(inputs=xa, pre_activations=pre, raw_activations=raw,
-                        activations=act, masks=used)
+    return ForwardTrace(inputs=xa, raw_activations=raw, activations=act, masks=used)
 
 
 class Gradients(list):
@@ -209,7 +212,7 @@ def backward(trace: ForwardTrace, model: MlpModel,
     `model.flat`: a fresh one, or `out` (an earlier result for this model)
     overwritten.
     """
-    if len(trace.pre_activations) != len(model.layers):
+    if len(trace.raw_activations) != len(model.layers):
         raise ValueError("trace/model layer count mismatch")
     seed = np.asarray(dloss_dy, dtype=float)
     if seed.size == 1:
@@ -228,8 +231,8 @@ def backward(trace: ForwardTrace, model: MlpModel,
         if trace.masks[i] is not None:
             delta = delta * trace.masks[i]
         if layer.activation is Activation.RELU:
-            # subderivative 0 at the kink
-            dz = delta * (trace.pre_activations[i] > 0.0)
+            # subderivative 0 at the kink: max(z, 0) > 0 exactly where z > 0
+            dz = delta * (trace.raw_activations[i] > 0.0)
         else:
             a = trace.raw_activations[i]
             dz = delta * (a * (1.0 - a))
@@ -293,7 +296,5 @@ def predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
     holding only the running activation rather than a per-layer trace."""
     a = _checked_input(model, X)
     for layer in model.layers:
-        z = np.matmul(a, layer.weights.swapaxes(-1, -2))
-        z += layer.biases[..., None, :]
-        a = np.maximum(z, 0.0, out=z) if layer.activation is Activation.RELU else sigmoid(z)
+        a = _dense(layer, a)
     return a[..., 0]

@@ -273,6 +273,9 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
         models[b].bind(stack.flat[b])
     state = TrainState(model=stack, config=config)
     grads = None  # every step's gradient goes into the first step's arrays
+    # read from the module's names on each call, so a rebinding of them is
+    # seen; the step overwrites the gradient, and the next backward refills it
+    step = subgradient_step if config.method is Method.SUBGRADIENT else rmsprop_step
     n = np.array([X.shape[0] if ok else 0 for X, ok in zip(Xs, alive)])
     n_steps = -(-int(n.max()) // batch_size)
     span = n_steps * batch_size
@@ -295,13 +298,6 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
         step_rows[:] = counts.T.tolist()
         models[b].bind(stack.flat[b].copy())
         stack.flat[b] = 0.0  # keeps the dead model's rows finite from here on
-
-    def step(g: np.ndarray) -> None:
-        # the step overwrites the gradient: the next backward refills it
-        if config.method is Method.SUBGRADIENT:
-            subgradient_step(state, g)
-        else:
-            rmsprop_step(state, g)
 
     history = [[] for _ in range(n_models)]
     losses = np.empty((n_models, n_steps))
@@ -354,13 +350,13 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                 if state.accumulators is not None:
                     held = state.accumulators[~rows]
             try:
-                step(grads.flat)
+                step(state, grads.flat)
             except ValueError:
                 bad = ~np.isfinite(grads.flat).all(axis=-1)
                 for b in np.flatnonzero(bad):
                     fail(b, ValueError("non-finite gradient; step rejected"))
                 grads.flat[bad] = 0.0
-                step(grads.flat)
+                step(state, grads.flat)
             if held is not None:
                 state.accumulators[~rows] = held
             if not alive.any():

@@ -118,6 +118,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="does not exist"):
             validate(cfg)
 
+    def test_negative_seed_exits_one(self, workspace, capsys):
+        with pytest.raises(ConfigError, match="invalid seed: -1"):
+            validate(ExperimentConfig(seed=-1), needs_dataset=False)
+        assert main(["cv", "--config", str(workspace["cfg"]),
+                     "--override", "seed=-1"]) == 1
+        assert "invalid seed: -1" in capsys.readouterr().err
+
 
 class TestReportRendering:
     def test_nested_sections_and_formats(self):
@@ -244,12 +251,25 @@ class TestExitCodes:
         assert "runtime failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["cv", "train"])
-    def test_unwritable_output_dir_is_two(self, workspace, capsys, command):
+    def test_unwritable_output_dir_is_two(self, workspace, capsys, monkeypatch, command):
+        import xmargin.cli as cli_mod
+
+        trained = []
+        for name in ("train_models", "train_loop"):
+            monkeypatch.setattr(cli_mod, name, lambda *args, **kwargs: trained.append(1))
         blocker = workspace["tmp"] / "blocker"
         blocker.write_text("a regular file, not a directory\n")
         assert main([command, "--config", str(workspace["cfg"]), "--override",
                      f"output_dir={blocker / 'out'}"]) == 2
         assert "runtime failure" in capsys.readouterr().err
+        assert trained == []
+
+    @pytest.mark.parametrize("argv", [["--version"], ["cv", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out
 
     def test_success_is_zero(self, workspace):
         assert main(["loss-curve", "--config", str(workspace["cfg"]),
@@ -447,10 +467,36 @@ class TestDeterminism:
 
 
 class TestMalformedFlagsExitOne:
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "--config", "{cfg}", "--resolution", "abc"],
+        ["boundary", "--resolution", "5"],
+        ["frobnicate", "--config", "{cfg}"],
+        ["loss-curve", "--config", "{cfg}", "--y-true", "5"],
+        ["bias", "--config", "{cfg}", "--ensemble-size", "two"],
+    ])
+    def test_usage_error(self, workspace, capsys, argv):
+        # a usage error returns 1 like any other bad input: no SystemExit
+        assert main([a.format(cfg=workspace["cfg"]) for a in argv]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_non_numeric_lambda_grid(self, workspace, capsys):
         assert main(["grid", "--config", str(workspace["cfg"]),
                      "--lambda-grid", "1,x"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1,1;1,-1", "nan,1;1,1"])
+    def test_invalid_lambda_grid_cell_before_training(self, workspace, capsys,
+                                                      monkeypatch, grid):
+        import xmargin.cli as cli_mod
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a grid cell before checking them all")
+
+        monkeypatch.setattr(cli_mod, "train_models", no_training)
+        assert main(["grid", "--config", str(workspace["cfg"]),
+                     "--lambda-grid", grid]) == 1
+        assert "must be finite and >= 0" in capsys.readouterr().err
+        assert not (workspace["out"] / "grid.csv").exists()
 
     def test_single_boundary_feature(self, workspace, capsys):
         assert main(["boundary", "--config", str(workspace["cfg"]),
