@@ -148,6 +148,10 @@ def _checked_input(model: MlpModel, x) -> np.ndarray:
     return xa
 
 
+# rows per block of `predict_proba`
+INFER_ROWS = 4096
+
+
 def _dense(layer: Layer, a: np.ndarray) -> np.ndarray:
     """activation(a @ W^T + b), computed in the matmul's own array."""
     z = np.matmul(a, layer.weights.swapaxes(-1, -2))
@@ -292,9 +296,20 @@ def build_boundary_model(input_dim: int, seed: int) -> MlpModel:
 
 
 def predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """`forward(model, X, Mode.INFER).output` ((B, n) for a stacked model),
-    holding only the running activation rather than a per-layer trace."""
-    a = _checked_input(model, X)
-    for layer in model.layers:
-        a = _dense(layer, a)
-    return a[..., 0]
+    """`forward(model, X, Mode.INFER).output` of each block of `INFER_ROWS`
+    rows, joined ((B, n) for a stacked model), so only one block's running
+    activation is held rather than a per-layer trace of every row. Up to
+    `INFER_ROWS` rows this is forward's output bit for bit; past that a row
+    can differ from an unblocked `forward` in its last bits, as BLAS may
+    round a row by how many rows share its matmul."""
+    x = _checked_input(model, X)
+
+    def block(lo: int) -> np.ndarray:
+        a = x[..., lo:lo + INFER_ROWS, :]
+        for layer in model.layers:
+            a = _dense(layer, a)
+        return a[..., 0]
+
+    # one block even for 0 rows, so an empty input gives an empty (..., 0) output
+    return np.concatenate(list(map(block, range(0, max(x.shape[-2], 1), INFER_ROWS))),
+                          axis=-1)

@@ -4,7 +4,8 @@ Payload files (the structured report and any CSV tables) are byte-stable
 for a fixed config and seed; wall-clock timing goes to a separate meta
 file that is excluded from determinism comparisons. All files are written
 atomically (write to a temp name, then rename) as UTF-8, whatever the
-locale. CSV tables are written from columns, a block of rows at a time.
+locale. CSV tables are written from columns, a block of rows at a time;
+within a block each distinct float is formatted once.
 """
 
 from __future__ import annotations
@@ -70,19 +71,31 @@ def write_report(path: str, sections: dict) -> None:
     atomic_write(path, [render_report(sections)])
 
 
-_KIND_FORMATS = {"f": repr, "i": str, "u": str, "b": ("false", "true").__getitem__}
+def _floats(block: np.ndarray):
+    """repr of each float of `block` as float64, formatting each distinct bit
+    pattern once (so -0.0 and 0.0 stay apart) and gathering the strings."""
+    bits, inverse = np.unique(block.astype(np.float64).view(np.int64), return_inverse=True)
+    return map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, inverse.tolist())
+
+
+_KIND_FORMATS = {"i": str, "u": str, "b": ("false", "true").__getitem__}
 
 
 def _cells(col):
     """A column block's cells as `_fmt` formats them, by dtype for an array."""
-    fmt = _KIND_FORMATS.get(col.dtype.kind) if isinstance(col, np.ndarray) else None
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else None
+    if kind == "f":
+        return _floats(col)
+    fmt = _KIND_FORMATS.get(kind)
     return map(_fmt, col) if fmt is None else map(fmt, col.tolist())
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
     """Rectangular CSV with a header row, from one column (a numpy array or
     a list) per header name; floats serialized with repr so identical runs
-    emit identical bytes. Rows are formatted and written in blocks."""
+    emit identical bytes. Rows are formatted and written in blocks of 4096;
+    a float array's block is formatted once per distinct bit pattern, so a
+    grid axis that repeats a few hundred values costs a few hundred reprs."""
     lengths = [len(col) for col in columns]
     if len(lengths) != len(header) or len(set(lengths)) > 1:
         raise ValueError(f"ragged columns: {len(header)} names, lengths {lengths}")

@@ -193,6 +193,40 @@ class TestColumnWriter:
         header = ["f", "i", "b", "mixed"]
         assert written(tmp_path / "t.csv", header, columns) == row_csv(header, zip(*columns))
 
+    @given(st.lists(FLOATS, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=60)))
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_floats_match_row_oracle(self, tmp_path_factory, floats):
+        # drawn from a pool of at most four values, so most cells are repeats
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        column = np.array(floats, dtype=np.float64)
+        assert written(path, ["f"], [column]) == row_csv(["f"], zip(column))
+
+    def test_signed_zeros_and_nan_payloads_in_one_block(self, tmp_path):
+        payloads = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                             0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+        column = np.concatenate([[0.0, -0.0, 1.0, -0.0], payloads, [0.0, *payloads]])
+        assert all(math.isnan(v) for v in payloads)
+        got = written(tmp_path / "t.csv", ["f"], [column])
+        assert got == row_csv(["f"], zip(column))
+        assert got.decode().split("\n")[1:5] == ["0.0", "-0.0", "1.0", "-0.0"]
+
+    def test_float32_column_matches_row_oracle(self, tmp_path):
+        rng = np.random.default_rng(5)
+        column = rng.normal(size=5000).astype(np.float32)
+        column[::7] = column[1::7][:len(column[::7])]
+        column[:4] = [np.float32(0.1), -0.0, np.nan, np.float32(3e-45)]
+        assert written(tmp_path / "t.csv", ["f"], [column]) == row_csv(["f"], zip(column))
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 2 * 4096 + 1])
+    def test_tiled_axis_across_block_edges(self, tmp_path, n):
+        # the first n rows of a 600x600 boundary grid: x1 repeats each value
+        # of a 600-value axis, x2 tiles it
+        axis = np.linspace(-2.7, 3.1, 600)
+        columns = [np.repeat(axis, 600)[:n], np.tile(axis, 600)[:n]]
+        assert (written(tmp_path / "t.csv", ["x1", "x2"], columns)
+                == row_csv(["x1", "x2"], zip(*columns)))
+
     def test_memory_is_bounded_by_a_block(self, tmp_path):
         n = 100_000
         rng = np.random.default_rng(0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmargin.loss_core import LossParams, loss_and_grad_vec
-from xmargin.network import (Activation, Layer, MlpModel, Mode, backward,
+from xmargin.network import (INFER_ROWS, Activation, Layer, MlpModel, Mode, backward,
                              build_boundary_model, build_mlp, build_experiment_model,
                              forward, forward_single_layer, predict_proba,
                              sigmoid)
@@ -310,25 +310,41 @@ class TestSigmoidReference:
             math.exp(-40.0), rel=1e-12)
 
 
+ROW_COUNTS = (0, 50, INFER_ROWS - 1, INFER_ROWS, INFER_ROWS + 1, 2 * INFER_ROWS + 1)
+
+
+def blocked_infer_forward(model, X):
+    """`forward(..., Mode.INFER).output` of each `INFER_ROWS`-row block of X, joined."""
+    return np.concatenate([forward(model, X[..., lo:lo + INFER_ROWS, :], Mode.INFER).output
+                           for lo in range(0, max(X.shape[-2], 1), INFER_ROWS)], axis=-1)
+
+
+def check_predict_proba(model, X, shape):
+    got = predict_proba(model, X)
+    assert got.shape == shape
+    assert got.tobytes() == blocked_infer_forward(model, X).tobytes()
+    # an unblocked pass may round a row differently, but only in its last bits
+    np.testing.assert_allclose(got, forward(model, X, Mode.INFER).output, rtol=1e-12, atol=0)
+
+
 class TestPredictProba:
     def test_bitwise_equal_to_infer_forward(self):
         model = build_experiment_model(6, seed=2)
-        X = np.random.default_rng(3).normal(size=(50, 6))
-        X_before = X.copy()
-        got = predict_proba(model, X)
-        assert got.shape == (50,)
-        assert got.tobytes() == forward(model, X, Mode.INFER).output.tobytes()
-        assert np.array_equal(X, X_before)
+        rng = np.random.default_rng(3)
+        for n in ROW_COUNTS:
+            X = rng.normal(size=(n, 6))
+            X_before = X.copy()
+            check_predict_proba(model, X, (n,))
+            assert np.array_equal(X, X_before)
         assert (predict_proba(model, X[0]).tobytes()
                 == forward(model, X[0], Mode.INFER).output.tobytes())
 
     def test_stacked_bitwise_equal_to_infer_forward(self):
         stack = MlpModel.stack([build_experiment_model(6, seed=s) for s in range(3)])
         rng = np.random.default_rng(4)
-        for X in (rng.normal(size=(40, 6)), rng.normal(size=(3, 40, 6))):
-            got = predict_proba(stack, X)
-            assert got.shape == (3, 40)
-            assert got.tobytes() == forward(stack, X, Mode.INFER).output.tobytes()
+        for n in ROW_COUNTS:
+            for X in (rng.normal(size=(n, 6)), rng.normal(size=(3, n, 6))):
+                check_predict_proba(stack, X, (3, n))
 
     @pytest.mark.parametrize("X", [np.zeros((4, 5)), np.array([[0.0, np.nan, 0, 0, 0, 0]]),
                                    np.array([0.0, 0, 0, np.inf, 0, 0])])
@@ -340,8 +356,9 @@ class TestPredictProba:
             predict_proba(model, X)
 
     def test_keeps_no_per_layer_trace(self):
+        n = 360_000
         model = build_boundary_model(2, seed=3)
-        X = np.random.default_rng(0).normal(size=(100_000, 2))
+        X = np.random.default_rng(0).normal(size=(n, 2))
         predict_proba(model, X[:10])
         tracemalloc.start()
         try:
@@ -349,6 +366,6 @@ class TestPredictProba:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the second layer's matmul needs the 8- and 4-wide hidden activations
-        # at once, 1.5x one 8-wide array; the rest is numpy's ufunc buffer
-        assert peak < 1.55 * (100_000 * 8 * 8)
+        # the output and its blocks, plus one block's 8- and 4-wide hidden
+        # activations; the 8-wide activation of every row would alone be 23 MB
+        assert peak < 2 * (n * 8) + 4 * (INFER_ROWS * 8 * 8)
