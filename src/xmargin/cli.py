@@ -31,7 +31,7 @@ from .metrics import (LabelConfidence, accuracy, auc, bias_estimate,
 from .network import build_boundary_model, build_experiment_model, predict_proba
 from .optimizer import train as train_loop
 from .optimizer import train_models
-from .report import write_csv, write_meta, write_report
+from .report import Indexed, write_csv, write_meta, write_report
 
 
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -230,11 +230,15 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
     pad = 0.1 * (hi - lo)
     g1 = np.linspace(lo[0] - pad[0], hi[0] + pad[0], resolution)
     g2 = np.linspace(lo[1] - pad[1], hi[1] + pad[1], resolution)
-    grid_raw = np.column_stack([g.ravel() for g in np.meshgrid(g1, g2)])
-    probs = predict_proba(result.model, apply_scaler(grid_raw, cfg.scaling, stats))
+    # row i * resolution + j of the grid is (g1[j], g2[i])
+    grid = np.column_stack([g.ravel() for g in np.meshgrid(g1, g2)])
+    probs = predict_proba(result.model, apply_scaler(grid, cfg.scaling, stats))
+    del grid  # not held while the CSV is written
+    steps = np.arange(resolution)
     write_csv(os.path.join(cfg.output_dir, "boundary_grid.csv"),
               ["x1", "x2", "probability", "hard_label"],
-              [grid_raw[:, 0], grid_raw[:, 1], probs, (probs >= 0.5).astype(np.int64)])
+              [Indexed(g1, np.tile(steps, resolution)), Indexed(g2, np.repeat(steps, resolution)),
+               probs, (probs >= 0.5).astype(np.int64)])
     write_csv(os.path.join(cfg.output_dir, "boundary_points.csv"),
               ["x1", "x2", "label"], [feats[:, 0], feats[:, 1], data.labels])
     return {

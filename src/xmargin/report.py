@@ -5,7 +5,7 @@ for a fixed config and seed; wall-clock timing goes to a separate meta
 file that is excluded from determinism comparisons. All files are written
 atomically (write to a temp name, then rename) as UTF-8, whatever the
 locale. CSV tables are written from columns, a block of rows at a time;
-within a block each distinct float is formatted once.
+a column given as `Indexed` formats each of its values once.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,39 +72,48 @@ def write_report(path: str, sections: dict) -> None:
     atomic_write(path, [render_report(sections)])
 
 
-def _floats(block: np.ndarray):
-    """repr of each float of `block` as float64, formatting each distinct bit
-    pattern once (so -0.0 and 0.0 stay apart) and gathering the strings."""
-    bits, inverse = np.unique(block.astype(np.float64).view(np.int64), return_inverse=True)
-    return map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, inverse.tolist())
+@dataclass(frozen=True)
+class Indexed:
+    """The column `values[index]`: each of `values` is formatted once and its
+    string repeated, as for a grid axis that tiles a few hundred values over
+    many rows."""
+    values: np.ndarray
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
-_KIND_FORMATS = {"i": str, "u": str, "b": ("false", "true").__getitem__}
+_KIND_FORMATS = {"f": repr, "i": str, "u": str, "b": ("false", "true").__getitem__}
 
 
 def _cells(col):
     """A column block's cells as `_fmt` formats them, by dtype for an array."""
-    kind = col.dtype.kind if isinstance(col, np.ndarray) else None
-    if kind == "f":
-        return _floats(col)
-    fmt = _KIND_FORMATS.get(kind)
+    fmt = _KIND_FORMATS.get(col.dtype.kind) if isinstance(col, np.ndarray) else None
     return map(_fmt, col) if fmt is None else map(fmt, col.tolist())
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
-    """Rectangular CSV with a header row, from one column (a numpy array or
-    a list) per header name; floats serialized with repr so identical runs
-    emit identical bytes. Rows are formatted and written in blocks of 4096;
-    a float array's block is formatted once per distinct bit pattern, so a
-    grid axis that repeats a few hundred values costs a few hundred reprs."""
+    """Rectangular CSV with a header row, from one column (a numpy array, a
+    list or an `Indexed`) per header name; floats serialized with repr so
+    identical runs emit identical bytes. Rows are formatted and written in
+    blocks of 4096; an `Indexed` column's strings are gathered per block."""
     lengths = [len(col) for col in columns]
     if len(lengths) != len(header) or len(set(lengths)) > 1:
         raise ValueError(f"ragged columns: {len(header)} names, lengths {lengths}")
     block = 4096
 
+    def block_cells(col):
+        """lo -> the cells of rows lo .. lo + block of `col`."""
+        if isinstance(col, Indexed):
+            strings = list(_cells(col.values))
+            return lambda lo: map(strings.__getitem__, col.index[lo:lo + block].tolist())
+        return lambda lo: _cells(col[lo:lo + block])
+
+    cells = [block_cells(col) for col in columns]
+
     def lines(lo: int) -> str:
-        cells = (_cells(col[lo:lo + block]) for col in columns)
-        return "\n".join(map(",".join, zip(*cells))) + "\n"
+        return "\n".join(map(",".join, zip(*(c(lo) for c in cells)))) + "\n"
 
     atomic_write(path, itertools.chain(
         [",".join(header) + "\n"],

@@ -14,7 +14,7 @@ from xmargin.cli import main, parse_variant
 from xmargin.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text, validate)
 from xmargin.loss_core import LossFamily
-from xmargin.report import _fmt, render_report, write_csv
+from xmargin.report import Indexed, _fmt, render_report, write_csv
 
 
 def make_dataset(path, n0=20, n1=20, d=4, seed=0):
@@ -194,38 +194,47 @@ class TestColumnWriter:
         assert written(tmp_path / "t.csv", header, columns) == row_csv(header, zip(*columns))
 
     @given(st.lists(FLOATS, min_size=1, max_size=4).flatmap(
-        lambda pool: st.lists(st.sampled_from(pool), max_size=60)))
+        lambda pool: st.tuples(st.just(pool), st.lists(st.integers(0, len(pool) - 1),
+                                                       max_size=60))))
     @settings(max_examples=150, deadline=None)
-    def test_repeated_floats_match_row_oracle(self, tmp_path_factory, floats):
-        # drawn from a pool of at most four values, so most cells are repeats
+    def test_indexed_column_matches_row_oracle(self, tmp_path_factory, drawn):
+        # a pool of at most four values, so most cells repeat one
+        values, index = np.array(drawn[0], dtype=np.float64), np.array(drawn[1], dtype=np.int64)
+        column = values[index]
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        column = np.array(floats, dtype=np.float64)
-        assert written(path, ["f"], [column]) == row_csv(["f"], zip(column))
+        assert (written(path, ["g", "f"], [Indexed(values, index), column])
+                == row_csv(["g", "f"], zip(column, column)))
 
-    def test_signed_zeros_and_nan_payloads_in_one_block(self, tmp_path):
+    def test_signed_zeros_and_nan_payloads(self, tmp_path):
         payloads = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
                              0x7FF0000000000001], dtype=np.uint64).view(np.float64)
-        column = np.concatenate([[0.0, -0.0, 1.0, -0.0], payloads, [0.0, *payloads]])
+        values = np.concatenate([[0.0, -0.0, 1.0], payloads])
         assert all(math.isnan(v) for v in payloads)
-        got = written(tmp_path / "t.csv", ["f"], [column])
-        assert got == row_csv(["f"], zip(column))
-        assert got.decode().split("\n")[1:5] == ["0.0", "-0.0", "1.0", "-0.0"]
+        index = np.array([0, 1, 2, 1, 3, 4, 5, 6, 0, 3, 4, 5, 6])
+        column = values[index]
+        got = written(tmp_path / "t.csv", ["g", "f"], [Indexed(values, index), column])
+        assert got == row_csv(["g", "f"], zip(column, column))
+        assert got.decode().split("\n")[1:5] == ["0.0,0.0", "-0.0,-0.0", "1.0,1.0", "-0.0,-0.0"]
 
-    def test_float32_column_matches_row_oracle(self, tmp_path):
+    def test_float32_values_match_row_oracle(self, tmp_path):
         rng = np.random.default_rng(5)
-        column = rng.normal(size=5000).astype(np.float32)
-        column[::7] = column[1::7][:len(column[::7])]
-        column[:4] = [np.float32(0.1), -0.0, np.nan, np.float32(3e-45)]
-        assert written(tmp_path / "t.csv", ["f"], [column]) == row_csv(["f"], zip(column))
+        values = rng.normal(size=700).astype(np.float32)
+        values[:4] = [np.float32(0.1), -0.0, np.nan, np.float32(3e-45)]
+        index = rng.integers(0, len(values), 5000)
+        column = values[index]
+        assert (written(tmp_path / "t.csv", ["g", "f"], [Indexed(values, index), column])
+                == row_csv(["g", "f"], zip(column, column)))
 
-    @pytest.mark.parametrize("n", [4095, 4096, 4097, 2 * 4096 + 1])
-    def test_tiled_axis_across_block_edges(self, tmp_path, n):
-        # the first n rows of a 600x600 boundary grid: x1 repeats each value
-        # of a 600-value axis, x2 tiles it
-        axis = np.linspace(-2.7, 3.1, 600)
-        columns = [np.repeat(axis, 600)[:n], np.tile(axis, 600)[:n]]
+    @pytest.mark.parametrize("n", [0, 4095, 4096, 4097, 2 * 4096 + 1])
+    def test_grid_axes_across_block_edges(self, tmp_path, n):
+        # the first n rows of a 600x600 boundary grid: x1 tiles a 600-value
+        # axis, x2 repeats each value of another
+        steps = np.arange(600)
+        g1, g2 = np.linspace(-2.7, 3.1, 600), np.linspace(0.4, 9.0, 600)
+        x1, x2 = (g.ravel()[:n] for g in np.meshgrid(g1, g2))
+        columns = [Indexed(g1, np.tile(steps, 600)[:n]), Indexed(g2, np.repeat(steps, 600)[:n])]
         assert (written(tmp_path / "t.csv", ["x1", "x2"], columns)
-                == row_csv(["x1", "x2"], zip(*columns)))
+                == row_csv(["x1", "x2"], zip(x1, x2)))
 
     def test_memory_is_bounded_by_a_block(self, tmp_path):
         n = 100_000
@@ -363,10 +372,19 @@ class TestGridCommand:
 
 
 class TestBoundaryCommand:
-    def test_grid_rows_and_probabilities(self, workspace):
+    def grid_rows(self, workspace, resolution):
         assert main(["boundary", "--config", str(workspace["cfg"]),
-                     "--features", "0,1", "--resolution", "5"]) == 0
+                     "--features", "0,1", "--resolution", str(resolution)]) == 0
         rows = (workspace["out"] / "boundary_grid.csv").read_text().splitlines()[1:]
+        # meshgrid order: x1 steps along each row of the grid, x2 down it
+        x1, x2 = zip(*(r.split(",")[:2] for r in rows))
+        assert x1 == x1[:resolution] * resolution
+        assert x2 == tuple(v for v in x2[::resolution] for _ in range(resolution))
+        assert len(set(x1)) == len(set(x2)) == resolution
+        return rows
+
+    def test_grid_rows_and_probabilities(self, workspace):
+        rows = self.grid_rows(workspace, 5)
         assert len(rows) == 25
         for r in rows:
             x1, x2, prob, hard = r.split(",")
@@ -374,6 +392,9 @@ class TestBoundaryCommand:
             assert int(hard) == (1 if float(prob) >= 0.5 else 0)
         pts = (workspace["out"] / "boundary_points.csv").read_text().splitlines()
         assert len(pts) == 1 + 40
+
+    def test_grid_order_across_row_blocks(self, workspace):
+        assert len(self.grid_rows(workspace, 65)) == 65 ** 2
 
     def test_constant_feature_rejected(self, workspace, capsys):
         path = workspace["tmp"] / "const.csv"
