@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config, validate
-from .data_pipeline import (Dataset, apply_scaler, fit_scaler, load_csv,
-                            repeated_cv, stratified_split)
+from .data_pipeline import (Dataset, LabelChoiceError, apply_scaler, fit_scaler,
+                            load_csv, repeated_cv, stratified_split)
 from .loss_core import LossFamily, LossParams, branches, loss_and_grad_vec, pieces
 from .metrics import (LabelConfidence, accuracy, auc, bias_estimate,
                       conditional_accuracy, conditional_risk, confusion,
@@ -35,9 +35,14 @@ from .report import Indexed, write_csv, write_meta, write_report
 
 
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
-    return load_csv(cfg.dataset, label_column=cfg.label_column,
-                    default_class_raw_label=cfg.default_label or None,
-                    header=cfg.header)
+    """The configured dataset; a label column or default label that does not
+    fit the file is a config error."""
+    try:
+        return load_csv(cfg.dataset, label_column=cfg.label_column,
+                        default_class_raw_label=cfg.default_label or None,
+                        header=cfg.header)
+    except LabelChoiceError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _fit(build, cfg: ExperimentConfig, X, y, seed: int,
@@ -53,11 +58,11 @@ def _fit(build, cfg: ExperimentConfig, X, y, seed: int,
 # parameters each). While it trains, a stacked RMSprop model holds five arrays
 # of its parameters' size (its row of the stack, the accumulators, the
 # best-iterate snapshot, the gradient and one work array) plus its share of
-# the minibatch activations and dropout draws, 7.9 parameter-sized arrays in
-# all. Each stacked model adds about 0.5 MB to the peak memory of
-# `xmargin cv` on sonar (38.3 MB one at a time, 40.2 MB in stacks of five,
-# 42.7 MB in stacks of ten), and stacks of five stay below the 40.9 MB that
-# stacks of three took when each model held 10.3 such arrays.
+# one step's activations and dropout keep flags: 7.2 parameter-sized arrays
+# in all at the tracemalloc peak of `train_models` (five sonar models, 187
+# rows, minibatches of 16). Each stacked model adds
+# about 0.45 MB to the peak memory of `xmargin cv` on sonar (39.2 MB one at
+# a time, 41.0 MB in stacks of five, 43.2 MB in stacks of ten).
 STACK_PARAMS = 5 * 6657
 
 

@@ -33,6 +33,10 @@ class IngestionError(ValueError):
     pass
 
 
+class LabelChoiceError(IngestionError):
+    """The label column or default label asked for does not fit the file."""
+
+
 @dataclass
 class Dataset:
     features: np.ndarray           # (n, d) floats
@@ -78,7 +82,7 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
     width = len(rows[0])
     label_idx = label_column if label_column >= 0 else width + label_column
     if not (0 <= label_idx < width):
-        raise IngestionError(f"{path}: label column {label_column} outside row width {width}")
+        raise LabelChoiceError(f"{path}: label column {label_column} outside row width {width}")
 
     raw_labels = []
     feats = []
@@ -105,7 +109,7 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
     if default_class_raw_label is None:
         default_class_raw_label = classes[-1]
     if default_class_raw_label not in classes:
-        raise IngestionError(
+        raise LabelChoiceError(
             f"{path}: default label {default_class_raw_label!r} not among {classes}")
 
     labels = np.array([1 if r == default_class_raw_label else 0 for r in raw_labels])

@@ -159,35 +159,46 @@ def _dense(layer: Layer, a: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0, out=z) if layer.activation is Activation.RELU else sigmoid(z)
 
 
+def dropout_keep(model: MlpModel) -> np.ndarray:
+    """The keep probability of each dropout unit: the units of the layers
+    with dropout, layer by layer, in order."""
+    return np.array([1.0 - l.dropout_rate for l in model.layers if l.dropout_rate > 0.0
+                     for _ in range(l.weights.shape[-2])])
+
+
 def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
             rng: np.random.Generator | None = None,
-            masks: list[np.ndarray | None] | None = None) -> ForwardTrace:
+            kept: np.ndarray | None = None) -> ForwardTrace:
     """Run the network over one instance (1-D input) or a batch (2-D).
 
     A stacked model takes a (B, n, d) batch per model, or one (n, d) batch
     that every model sees, and returns (B, n) outputs.
 
-    Train mode applies inverted dropout after each activation, with masks
-    drawn from the provided generator or, when given, taken from `masks`
-    (one per layer, None where the layer has no dropout); Infer mode is
+    Train mode applies inverted dropout after each activation. `kept` is a
+    boolean (..., rows, units) array of the dropout units kept, laid out as
+    `dropout_keep(model)`; without it, one block is drawn from `rng` as
+    `rng.random(rows_shape + (units,)) < dropout_keep(model)`, and nothing
+    is drawn for a model without dropout. Each dropout layer's mask is its
+    own columns of `kept` over its keep probability. Infer mode is
     deterministic and applies no masks.
     """
     xa = _checked_input(model, x)
-    if mode is Mode.TRAIN and rng is None and masks is None:
+    if mode is Mode.TRAIN and rng is None and kept is None:
         raise ValueError("Train mode requires a random generator")
 
     raw, act, used = [], [], []
-    a = xa
-    for i, layer in enumerate(model.layers):
+    a, col = xa, 0
+    for layer in model.layers:
         h = _dense(layer, a)
         raw.append(h)
         mask = None
         if mode is Mode.TRAIN and layer.dropout_rate > 0.0:
-            if masks is not None:
-                mask = masks[i]
-            else:
-                keep = 1.0 - layer.dropout_rate
-                mask = (rng.random(h.shape) < keep) / keep
+            if kept is None:
+                keep = dropout_keep(model)
+                kept = rng.random(h.shape[:-1] + keep.shape) < keep
+            width = h.shape[-1]
+            mask = kept[..., col:col + width] / (1.0 - layer.dropout_rate)
+            col += width
             h = h * mask
         act.append(h)
         used.append(mask)

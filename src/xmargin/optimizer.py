@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .loss_core import LossParams, loss_and_grad_vec
-from .network import MlpModel, Mode, backward, forward, predict_proba
+from .network import MlpModel, Mode, backward, dropout_keep, forward, predict_proba
 
 
 class Method(enum.Enum):
@@ -200,27 +200,6 @@ def train(model: MlpModel, X: np.ndarray, y: np.ndarray, loss: LossParams,
     return out
 
 
-def _draw_masks(u: np.ndarray, n: int, batch_size: int, masks, b: int) -> None:
-    """Lay model b's epoch of dropout draws `u` into the per-layer
-    (keep probability, (B, rows, width) boolean keep-mask) pairs. Drawing a
-    minibatch's masks layer by layer, as `forward` does, takes rows*width
-    values per layer in turn, so minibatch j's block of `u` holds each
-    layer's rows back to back."""
-    per_row = sum(hit.shape[-1] for _, hit in masks)
-    full = n // batch_size
-    head = u[:full * batch_size * per_row].reshape(full, batch_size * per_row)
-    tail = u[full * batch_size * per_row:]
-    rest = n - full * batch_size
-    off = 0
-    for keep, hit in masks:
-        w = hit.shape[-1]
-        np.less(head[:, batch_size * off:batch_size * (off + w)]
-                .reshape(full * batch_size, w), keep, out=hit[b, :full * batch_size])
-        np.less(tail[rest * off:rest * (off + w)].reshape(rest, w), keep,
-                out=hit[b, full * batch_size:n])
-        off += w
-
-
 def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                  config: OptimizerConfig, epochs: int, batch_size: int,
                  rngs: list[np.random.Generator],
@@ -228,9 +207,11 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                  ) -> list[TrainResult | Exception]:
     """Mini-batch training of models of one architecture as one stack.
 
-    Model b trains on (Xs[b], ys[b]). Its generator rngs[b] shuffles it each
-    epoch and draws its dropout masks, the same draws in the same order as
-    when the model trains alone. Every step runs one Train-mode forward pass
+    Model b trains on (Xs[b], ys[b]). Each epoch its generator rngs[b]
+    shuffles it, then draws the uniforms of its dropout masks minibatch by
+    minibatch, a (rows, dropout units) block each, as `forward` does when
+    the model trains alone: an epoch's draws are the rows of one (training
+    rows, dropout units) block. Every step runs one Train-mode forward pass
     over all models, each model's mean minibatch loss, reverse-mode
     gradients and one optimizer step over the (B, P) parameters. Models
     with fewer training rows pad their last minibatch with zero-weight rows
@@ -282,12 +263,10 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     batches = -(-n // batch_size)  # minibatches per epoch, per model
     # real rows of each model in each step
     counts = np.clip(n[:, None] - batch_size * np.arange(n_steps), 0, batch_size)
-    # per dropout layer: its keep probability and this epoch's keep-masks
-    masks = {i: (1.0 - l.dropout_rate,
-                 np.zeros((n_models, span, l.weights.shape[-2]), dtype=bool))
-             for i, l in enumerate(stack.layers) if l.dropout_rate > 0.0}
-    per_row = sum(hit.shape[-1] for _, hit in masks.values())
-    draws = np.empty(int(n.max()) * per_row)  # one model's epoch of dropout draws
+    keep = dropout_keep(stack)
+    # each step's dropout keep flags, drawn per model as its rows are gathered;
+    # a padding row keeps an earlier step's flags, which its zero weight voids
+    kept = np.zeros((n_models, batch_size, keep.size), dtype=bool)
 
     step_rows = counts.T.tolist()  # per step, each model's real rows
 
@@ -305,10 +284,6 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
         order = np.empty((n_models, span), dtype=int)
         for b in np.flatnonzero(alive):
             order[b, :n[b]] = rngs[b].permutation(n[b])
-            if masks:
-                u = draws[:n[b] * per_row]
-                rngs[b].random(out=u)
-                _draw_masks(u, n[b], batch_size, list(masks.values()), b)
 
         for s, per_model in enumerate(step_rows):
             width = max(per_model)
@@ -322,10 +297,8 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                 if rows_b:
                     np.take(Xs[b], order[b, lo:lo + rows_b], axis=0, out=xb[b, :rows_b])
                     np.take(ys[b], order[b, lo:lo + rows_b], out=yb[b, :rows_b])
-            layer_masks = [None] * len(stack.layers)
-            for i, (keep, hit) in masks.items():
-                layer_masks[i] = hit[:, lo:lo + width] / keep
-            trace = forward(stack, xb, Mode.TRAIN, masks=layer_masks)
+                    np.less(rngs[b].random((rows_b, keep.size)), keep, out=kept[b, :rows_b])
+            trace = forward(stack, xb, Mode.TRAIN, kept=kept[:, :width])
             vals, dvals = loss_and_grad_vec(trace.output, yb, loss)
             cnt = counts[:, s]
             # padding rows weigh 0; each model's mean is over its real rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
-import tempfile
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +34,12 @@ def _fmt(value) -> str:
 
 def atomic_write(path: str, chunks) -> None:
     """Write the strings `chunks` in turn to a temp file beside `path`,
-    then rename it over `path`."""
+    then rename it over `path`. The file is created as a plain `open` would
+    create it, with mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)

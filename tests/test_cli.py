@@ -14,7 +14,8 @@ from xmargin.cli import main, parse_variant
 from xmargin.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text, validate)
 from xmargin.loss_core import LossFamily
-from xmargin.report import Indexed, _fmt, render_report, write_csv
+from xmargin.report import (Indexed, _fmt, atomic_write, render_report, write_csv,
+                            write_report)
 
 
 def make_dataset(path, n0=20, n1=20, d=4, seed=0):
@@ -262,6 +263,33 @@ class TestColumnWriter:
         subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
         assert path.read_bytes() == text.encode("utf-8")
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_new_files_take_the_umask(self, tmp_path, umask, mode):
+        # as a plain open creates them: 0o666 less the umask
+        path = tmp_path / "report.txt"
+        old = os.umask(umask)
+        try:
+            write_report(str(path), {"a": 1})
+            write_csv(str(tmp_path / "t.csv"), ["x"], [[1.0]])
+        finally:
+            os.umask(old)
+        assert os.stat(path).st_mode & 0o777 == mode
+        assert os.stat(tmp_path / "t.csv").st_mode & 0o777 == mode
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        write_report(str(path), {"a": 1})
+
+        def chunks():
+            yield "partial\n"
+            raise RuntimeError("mid-stream")
+
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            atomic_write(str(path), chunks())
+        assert path.read_text() == render_report({"a": 1})
+        assert os.listdir(tmp_path) == ["report.txt"]
+
 
 class TestVariantParsing:
     def test_xm(self):
@@ -286,6 +314,14 @@ class TestExitCodes:
         make_config(bad, "/no/such.csv", workspace["out"])
         assert main(["train", "--config", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["default_label=Q", "label_column=99"])
+    def test_label_choice_not_in_the_file_is_one(self, workspace, capsys, override):
+        assert main(["train", "--config", str(workspace["cfg"]),
+                     "--override", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ("default label 'Q'" in err
+                                             or "label column 99" in err)
 
     def test_runtime_failure_is_two(self, workspace, capsys):
         # k larger than the smaller class fails inside the CV machinery

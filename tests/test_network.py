@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from xmargin.loss_core import LossParams, loss_and_grad_vec
 from xmargin.network import (INFER_ROWS, Activation, Layer, MlpModel, Mode, backward,
                              build_boundary_model, build_mlp, build_experiment_model,
-                             forward, forward_single_layer, predict_proba,
+                             dropout_keep, forward, forward_single_layer, predict_proba,
                              sigmoid)
 
 
@@ -122,6 +122,40 @@ class TestDropout:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             Layer(np.zeros((1, 1)), np.zeros(1), Activation.SIGMOID, dropout_rate=1.0)
+
+    def test_experiment_model_keeps_three_quarters_of_112_units(self):
+        keep = dropout_keep(build_experiment_model(7, seed=3))
+        assert keep.tolist() == [0.75] * 112
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_train_draws_one_block_of_rows_by_units(self, seed):
+        # two minibatches in turn draw the rows of one (13, units) block;
+        # each dropout layer's mask is its own columns of it over its keep
+        model = build_experiment_model(6, seed=seed)
+        X = np.random.default_rng(seed + 1).normal(size=(13, 6))
+        rng = np.random.default_rng(seed)
+        traces = [forward(model, X[:5], Mode.TRAIN, rng),
+                  forward(model, X[5:], Mode.TRAIN, rng)]
+        keep = dropout_keep(model)
+        expected = (np.random.default_rng(seed).random((13, keep.size)) < keep) / keep
+        col = 0
+        for i, layer in enumerate(model.layers):
+            if layer.dropout_rate == 0.0:
+                assert all(t.masks[i] is None for t in traces)
+                continue
+            cols = expected[:, col:col + layer.weights.shape[0]]
+            assert np.array_equal(traces[0].masks[i], cols[:5])
+            assert np.array_equal(traces[1].masks[i], cols[5:])
+            col += layer.weights.shape[0]
+        assert col == keep.size
+
+    def test_no_dropout_draws_nothing(self):
+        model = build_boundary_model(3, seed=5)
+        assert dropout_keep(model).size == 0
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        forward(model, np.ones((9, 3)), Mode.TRAIN, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestBackward:

@@ -298,15 +298,12 @@ class TestStackedNetwork:
         stack = MlpModel.stack(models)
         assert np.shares_memory(stack.layers[2].weights, stack.flat)
         X = rng.normal(size=(3, 5, 6))
-        masks = [None if l.dropout_rate == 0.0 else
-                 (rng.random((3, 5, l.weights.shape[-2])) < 0.75) / 0.75
-                 for l in stack.layers]
-        trace = forward(stack, X, Mode.TRAIN, masks=masks)
+        kept = rng.random((3, 5, 112)) < 0.75
+        trace = forward(stack, X, Mode.TRAIN, kept=kept)
         seeds = rng.normal(size=(3, 5))
         grads = backward(trace, stack, seeds)
         for b, m in enumerate(models):
-            single = forward(m, X[b], Mode.TRAIN,
-                             masks=[None if k is None else k[b] for k in masks])
+            single = forward(m, X[b], Mode.TRAIN, kept=kept[b])
             assert np.max(np.abs(trace.output[b] - single.output)) <= 1e-12
             g = backward(single, m, seeds[b])
             assert np.max(np.abs(grads.flat[b] - g.flat)) <= 1e-12
