@@ -4,13 +4,10 @@ harness, class-conditional metrics, and a reproduction CLI."""
 
 __version__ = "0.1.0"
 
-from .loss_core import (Branch, LossFamily, LossParams, LossValue, bce_loss,
-                        branches, gamma, hinge_loss, indicator_terms,
-                        predict_label, sigma, xtreme_margin_loss,
-                        xtreme_margin_subgrad)
+from .loss_core import (Branch, LossFamily, LossParams, LossValue, branches,
+                        gamma, xtreme_margin_loss, xtreme_margin_subgrad)
 
 __all__ = [
-    "Branch", "LossFamily", "LossParams", "LossValue", "bce_loss", "branches",
-    "gamma", "hinge_loss", "indicator_terms", "predict_label", "sigma",
+    "Branch", "LossFamily", "LossParams", "LossValue", "branches", "gamma",
     "xtreme_margin_loss", "xtreme_margin_subgrad", "__version__",
 ]

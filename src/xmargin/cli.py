@@ -45,6 +45,13 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
         raise ConfigError(str(exc)) from None
 
 
+def _check_k(k: int, data: Dataset) -> None:
+    """A k that some class cannot fill is a config error."""
+    for cls, size in enumerate(np.bincount(data.labels, minlength=2)):
+        if size < k:
+            raise ConfigError(f"class {cls} has {size} members, fewer than k={k}")
+
+
 def _fit(build, cfg: ExperimentConfig, X, y, seed: int,
          params: LossParams | None = None, **eval_data):
     """Train `build(X.shape[1], seed)` with cfg's optimizer, epochs and batch
@@ -130,8 +137,12 @@ def _final_metrics(probs: np.ndarray, y: np.ndarray) -> dict:
 
 
 def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
-    """(Xtr, ytr, Xte, yte, test_idx), scaled by training-row statistics."""
-    train_idx, test_idx = stratified_split(data, cfg.test_fraction, cfg.seed)
+    """(Xtr, ytr, Xte, yte, test_idx), scaled by training-row statistics; a
+    test_fraction that leaves a class no training row is a config error."""
+    try:
+        train_idx, test_idx = stratified_split(data, cfg.test_fraction, cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     stats = fit_scaler(data.features, cfg.scaling, train_idx)
     X = apply_scaler(data.features, cfg.scaling, stats)
     return (X[train_idx], data.labels[train_idx], X[test_idx], data.labels[test_idx],
@@ -160,6 +171,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
 
 def cmd_cv(cfg: ExperimentConfig) -> dict:
     data = _load_dataset(cfg)
+    _check_k(cfg.k, data)
     report = repeated_cv(data, cfg.k, cfg.repeats, _train_predictor_fn(cfg),
                          _accuracy_metric, cfg.seed, scaling=cfg.scaling)
     return {
@@ -179,6 +191,7 @@ def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[LossParams]) -> dict:
     """Repeated CV of each (lambda1, lambda2) cell of `lambda_grid`, with the
     config's loss family."""
     data = _load_dataset(cfg)
+    _check_k(cfg.k, data)
     rows = []
     cells = []
     for l1, l2 in ((p.lambda1, p.lambda2) for p in lambda_grid):
@@ -342,20 +355,19 @@ def cmd_risk(cfg: ExperimentConfig, confidence: LabelConfidence | None,
     if confidence_column is not None and not (0 <= confidence_column < data.d):
         raise ConfigError(f"confidence column {confidence_column} out of range")
     Xtr, ytr, Xte, _, test_idx = _split_and_scale(cfg, data)
-    confs = [confidence] * len(test_idx)
     if confidence is None:
-        for i, inst in enumerate(test_idx):
-            p1 = float(data.features[inst, confidence_column])
-            try:
-                confs[i] = LabelConfidence(1.0 - p1, p1)
-            except ValueError:
-                raise ConfigError(f"confidence column {confidence_column} holds {p1!r} "
-                                  f"at instance {inst}, not a probability") from None
+        p1 = data.features[test_idx, confidence_column]
+        bad = np.flatnonzero(~((p1 >= 0.0) & (p1 <= 1.0)))
+        if bad.size:
+            raise ConfigError(f"confidence column {confidence_column} holds "
+                              f"{float(p1[bad[0]])!r} at instance {test_idx[bad[0]]}, "
+                              "not a probability")
+        p0 = 1.0 - p1
+    else:
+        p0, p1 = confidence.p0, confidence.p1
     result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed)
     probs = predict_proba(result.model, Xte)
-    params = cfg.loss_params()
-    risk = np.array([conditional_risk(y, conf, params)
-                     for y, conf in zip(probs.tolist(), confs)])
+    risk = conditional_risk(probs, p0, p1, cfg.loss_params())
     write_csv(os.path.join(cfg.output_dir, "risk.csv"),
               ["instance", "predicted_probability", "conditional_risk"],
               [test_idx, probs, risk])

@@ -42,7 +42,6 @@ class Dataset:
     features: np.ndarray           # (n, d) floats
     labels: np.ndarray             # (n,) ints in {0, 1}
     default_class_raw_label: str
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.features).all():
@@ -70,11 +69,9 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
         raise IngestionError(f"dataset file not found: {path}")
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
-    feature_names = None
     if header:
         if not rows:
             raise IngestionError(f"{path}: empty file")
-        feature_names = rows[0]
         rows = rows[1:]
     if not rows:
         raise IngestionError(f"{path}: no data rows")
@@ -85,11 +82,25 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
         raise LabelChoiceError(f"{path}: label column {label_column} outside row width {width}")
 
     raw_labels = []
-    feats = []
     for i, row in enumerate(rows):
         if len(row) != width:
             raise IngestionError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
         raw_labels.append(row[label_idx].strip())
+    # the label column is checked before any feature is parsed, so a column
+    # that holds features is reported as the wrong label column
+    classes = sorted(set(raw_labels))
+    if len(classes) != 2:
+        shown = ", ".join(map(repr, classes[:5])) + (", ..." if len(classes) > 5 else "")
+        raise LabelChoiceError(f"{path}: expected exactly two classes in label column "
+                               f"{label_column}, found {len(classes)}: {shown}")
+    if default_class_raw_label is None:
+        default_class_raw_label = classes[-1]
+    if default_class_raw_label not in classes:
+        raise LabelChoiceError(
+            f"{path}: default label {default_class_raw_label!r} not among {classes}")
+
+    feats = []
+    for i, row in enumerate(rows):
         vec = []
         for j, cell in enumerate(row):
             if j == label_idx:
@@ -102,22 +113,9 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
                 ) from None
         feats.append(vec)
 
-    classes = sorted(set(raw_labels))
-    if len(classes) != 2:
-        raise IngestionError(
-            f"{path}: expected exactly two classes, found {len(classes)}: {classes}")
-    if default_class_raw_label is None:
-        default_class_raw_label = classes[-1]
-    if default_class_raw_label not in classes:
-        raise LabelChoiceError(
-            f"{path}: default label {default_class_raw_label!r} not among {classes}")
-
     labels = np.array([1 if r == default_class_raw_label else 0 for r in raw_labels])
-    if feature_names is not None:
-        feature_names = [n for k, n in enumerate(feature_names) if k != label_idx]
     return Dataset(features=np.array(feats, dtype=float), labels=labels,
-                   default_class_raw_label=default_class_raw_label,
-                   feature_names=feature_names)
+                   default_class_raw_label=default_class_raw_label)
 
 
 def fit_scaler(features: np.ndarray, method: Scaling, fit_on) -> dict:

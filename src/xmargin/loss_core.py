@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-E = math.e
-
 # clamp applied to probabilities before logarithms in BCE
 BCE_CLIP = 1e-7
 
@@ -96,41 +94,16 @@ def _check_label(y_true) -> None:
         raise ValueError(f"label must be 0 or 1, got {y_true!r}")
 
 
-def predict_label(y: float) -> int:
-    """Threshold a probability into a hard label; 0.5 goes to class 1."""
-    _check_prob(y)
-    return 1 if y >= 0.5 else 0
-
-
-def sigma(y: float, y_true: int) -> float:
-    """Misclassification penalty term: 0 when |y - y_true| < 0.5, else
-    e^{-|y_true - y|} - 1 (a value in (1/e - 1, 0])."""
-    _check_prob(y)
-    _check_label(y_true)
-    gap = abs(float(y) - y_true)
-    if gap < 0.5:
-        return 0.0
-    return math.exp(-gap) - 1.0
-
-
-def indicator_terms(y_true: int, y_pred: int) -> tuple[int, int]:
-    """(i1, i2): i1 flags a correct non-default prediction, i2 a correct
-    default prediction. At most one is set."""
-    _check_label(y_true)
-    _check_label(y_pred)
-    i1 = 1 if (y_true == y_pred and y_true == 0) else 0
-    i2 = 1 if (y_true == y_pred and y_true == 1) else 0
-    return i1, i2
-
-
 def gamma(y: float, y_true: int, params: LossParams) -> float:
     """Extreme margin term: lambda * (2y - 1)^2 on correct predictions,
-    with lambda chosen by the true class; 0 on misclassifications."""
+    with lambda chosen by the true class; 0 where |y - y_true| >= 0.5 (a
+    misclassification, or y = 0.5, where the term is 0 either way)."""
     _check_prob(y)
     _check_label(y_true)
-    i1, i2 = indicator_terms(y_true, predict_label(y))
-    m = (2.0 * float(y) - 1.0) ** 2
-    return i1 * params.lambda1 * m + i2 * params.lambda2 * m
+    if abs(float(y) - y_true) >= 0.5:
+        return 0.0
+    lam = params.lambda1 if y_true == 0 else params.lambda2
+    return lam * (2.0 * float(y) - 1.0) ** 2
 
 
 def xtreme_margin_loss(y: float, y_true: int, params: LossParams) -> LossValue:
@@ -158,21 +131,6 @@ def xtreme_margin_subgrad(y: float, y_true: int, params: LossParams) -> float:
     return loss_and_grad(y, y_true, _margin(params))[1]
 
 
-def bce_loss(y: float, y_true: int) -> tuple[float, float]:
-    """Binary cross-entropy with its derivative d/dy.
-
-    The probability is clamped to [BCE_CLIP, 1 - BCE_CLIP] before the
-    logarithms, so no infinities can escape.
-    """
-    return loss_and_grad(y, y_true, _BCE)
-
-
-def hinge_loss(y: float, y_true: int) -> tuple[float, float]:
-    """Margin hinge loss on the signed score s = 2y - 1 with target
-    t = 2*y_true - 1: max(0, 1 - t*s). Subgradient 0 at the kink."""
-    return loss_and_grad(y, y_true, _HINGE)
-
-
 def loss_and_grad(y: float, y_true: int, params: LossParams) -> tuple[float, float]:
     """(value, d value / d y) for one instance: a checked length-1 call into
     `loss_and_grad_vec`, dispatching on the loss family."""
@@ -180,10 +138,6 @@ def loss_and_grad(y: float, y_true: int, params: LossParams) -> tuple[float, flo
     _check_label(y_true)
     vals, grads = loss_and_grad_vec([float(y)], [y_true], params)
     return float(vals[0]), float(grads[0])
-
-
-_BCE = LossParams(family=LossFamily.BCE)
-_HINGE = LossParams(family=LossFamily.HINGE)
 
 
 def _margin(params: LossParams) -> LossParams:

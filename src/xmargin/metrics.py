@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss_core import LossParams, loss_and_grad
+from .loss_core import LossParams, loss_and_grad_vec
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,9 @@ def bias_estimate(ensemble_preds, truth) -> BiasReport:
                       ensemble_size=preds.shape[0])
 
 
-def conditional_risk(y: float, confidence: LabelConfidence,
-                     params: LossParams) -> float:
-    """Expected loss of predicting probability ``y`` under uncertainty about
-    the true label: p0 * L(y, 0) + p1 * L(y, 1)."""
-    l0, _ = loss_and_grad(y, 0, params)
-    l1, _ = loss_and_grad(y, 1, params)
-    return confidence.p0 * l0 + confidence.p1 * l1
+def conditional_risk(y, p0, p1, params: LossParams) -> np.ndarray:
+    """Expected loss of predicting probabilities ``y`` under uncertainty
+    about the true labels, whose distributions are (p0, p1) per instance
+    (arrays, or floats shared by every instance): p0 * L(y, 0) + p1 * L(y, 1)."""
+    return (p0 * loss_and_grad_vec(y, 0, params)[0]
+            + p1 * loss_and_grad_vec(y, 1, params)[0])

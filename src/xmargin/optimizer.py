@@ -65,22 +65,12 @@ class TrainState:
 
     model: MlpModel
     config: OptimizerConfig
-    t: int = 0                              # optimizer steps taken
     accumulators: np.ndarray | None = None  # laid out like model.flat
     best_loss: float | np.ndarray = math.inf
     best_params: np.ndarray | None = None   # laid out like model.flat
     # work array shaped like model.flat, reused by every step: allocating
     # it per step costs page faults once the model is stacked
     scratch: np.ndarray | None = field(default=None, repr=False)
-
-    def _check_grad(self, g: np.ndarray) -> None:
-        """Raise, before anything is updated, unless `g` is laid out like the
-        model's `flat` and finite."""
-        if g.shape != self.model.flat.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match "
-                             f"parameter shape {self.model.flat.shape}")
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient; step rejected")
 
     def note_loss(self, loss: float | np.ndarray) -> None:
         """Snapshot each model whose minibatch loss is a new low: its row of
@@ -94,30 +84,19 @@ class TrainState:
             else:
                 np.copyto(self.best_params, self.model.flat, where=better[..., None])
 
-    def best_model(self) -> MlpModel:
-        if self.best_params is None:
-            return self.model
-        out = self.model.copy()
-        out.flat[...] = self.best_params
-        return out
-
 
 def subgradient_step(state: TrainState, g: np.ndarray) -> TrainState:
-    """theta <- theta - alpha * g, for the gradient `g` laid out like
-    `state.model.flat`; increments t. The step overwrites `g`."""
-    state._check_grad(g)
+    """theta <- theta - alpha * g, for the finite gradient `g` laid out like
+    `state.model.flat`. The step overwrites `g`."""
     np.multiply(state.config.alpha, g, out=g)
     state.model.flat -= g
-    state.t += 1
     return state
 
 
 def rmsprop_step(state: TrainState, g: np.ndarray) -> TrainState:
     """v <- DECAY*v + (1-DECAY)*g^2; theta <- theta - alpha*g/(sqrt(v)+EPSILON),
-    for the gradient `g` laid out like `state.model.flat`; increments t. The
-    step is finished in `g`, which it overwrites, so one work array is
-    enough."""
-    state._check_grad(g)
+    for the finite gradient `g` laid out like `state.model.flat`. The step is
+    finished in `g`, which it overwrites, so one work array is enough."""
     if state.accumulators is None:
         state.accumulators = np.zeros_like(g)
     if state.scratch is None:
@@ -132,7 +111,6 @@ def rmsprop_step(state: TrainState, g: np.ndarray) -> TrainState:
     np.multiply(state.config.alpha, g, out=g)
     g /= tmp
     state.model.flat -= g
-    state.t += 1
     return state
 
 
@@ -306,36 +284,33 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
             used = np.maximum(cnt, 1)
             batch_mean = np.where(real, vals, 0.0).sum(axis=-1) / used
             dvals = np.where(real, dvals, 0.0) / used[:, None]
-            rows = None if cnt.all() else cnt > 0  # the models taking this step
-            # losses are bounded, so their sum is finite exactly when each is
-            if not math.isfinite(batch_mean.sum()):
-                for b in np.flatnonzero(~np.isfinite(batch_mean) & (cnt > 0)):
-                    fail(b, FloatingPointError(
-                        f"non-finite training loss at epoch {epoch}, "
-                        f"step {(epoch - 1) * batches[b] + s}"))
-                rows = cnt > 0
             grads = backward(trace, stack, dvals, out=grads)
+            # losses are bounded, so their sum is finite exactly when each is
+            if not (np.isfinite(grads.flat).all() and math.isfinite(batch_mean.sum())):
+                finite = np.isfinite(grads.flat).all(axis=-1)
+                for b in np.flatnonzero(cnt > 0):
+                    if not math.isfinite(batch_mean[b]):
+                        fail(b, FloatingPointError(
+                            f"non-finite training loss at epoch {epoch}, "
+                            f"step {(epoch - 1) * batches[b] + s}"))
+                    elif not finite[b]:
+                        fail(b, ValueError("non-finite gradient; step rejected"))
+                if not alive.any():
+                    return outcomes
+            rows = cnt > 0  # the models taking this step (`fail` zeroes a count)
             held = None
-            if rows is not None:
-                # a zero gradient leaves parameters as they are; RMSprop
+            if not rows.all():
+                # a model sitting out scores no loss (its history reads only
+                # the steps it took) and keeps its parameters; RMSprop
                 # accumulators would still decay, so they are put back
+                batch_mean[~rows] = np.inf
                 grads.flat[~rows] = 0.0
                 if state.accumulators is not None:
                     held = state.accumulators[~rows]
-            try:
-                step(state, grads.flat)
-            except ValueError:
-                bad = ~np.isfinite(grads.flat).all(axis=-1)
-                for b in np.flatnonzero(bad):
-                    fail(b, ValueError("non-finite gradient; step rejected"))
-                grads.flat[bad] = 0.0
-                step(state, grads.flat)
+            step(state, grads.flat)
             if held is not None:
                 state.accumulators[~rows] = held
-            if not alive.any():
-                return outcomes
-            state.note_loss(batch_mean if rows is None
-                            else np.where(rows, batch_mean, np.inf))
+            state.note_loss(batch_mean)
             losses[:, s] = batch_mean
 
         for b in np.flatnonzero(alive):

@@ -2,15 +2,50 @@
 `xmargin.loss_core` so the vectorized kernel is checked against code it
 does not share.
 
-The Xtreme Margin value is the paper's 1 / (1 + sigma + gamma), built from
-the package's scalar `sigma` and `gamma` terms; its derivative is the
-per-piece formula, and BCE and hinge use `math.log` and plain branches.
+The Xtreme Margin value is the paper's 1 / (1 + sigma + gamma), built here
+from its own scalar terms: the misclassification penalty sigma, the
+threshold rule and the indicators I(y_true = y_pred) that switch gamma on.
+Its derivative is the per-piece formula, and BCE and hinge use `math.log`
+and plain branches. Only the package's parameter types and the BCE clamp
+are imported.
 """
 
 import math
 
-from xmargin.loss_core import (BCE_CLIP, Branch, LossFamily, LossParams, gamma,
-                               predict_label, sigma)
+from xmargin.loss_core import BCE_CLIP, Branch, LossFamily, LossParams
+
+
+def _prob(y) -> float:
+    y = float(y)
+    if not (math.isfinite(y) and 0.0 <= y <= 1.0):
+        raise ValueError(f"probability must be finite in [0, 1], got {y!r}")
+    return y
+
+
+def predict_label(y: float) -> int:
+    """Threshold a probability into a hard label; 0.5 goes to class 1."""
+    return 1 if _prob(y) >= 0.5 else 0
+
+
+def sigma(y: float, y_true: int) -> float:
+    """0 when |y - y_true| < 0.5, else e^{-|y_true - y|} - 1."""
+    gap = abs(_prob(y) - y_true)
+    if gap < 0.5:
+        return 0.0
+    return math.exp(-gap) - 1.0
+
+
+def indicator_terms(y_true: int, y_pred: int) -> tuple[int, int]:
+    """(i1, i2): a correct non-default (label 0) and a correct default
+    (label 1) prediction. At most one is set."""
+    return int(y_true == y_pred == 0), int(y_true == y_pred == 1)
+
+
+def gamma(y: float, y_true: int, params: LossParams) -> float:
+    """i1 * lambda1 * (2y - 1)^2 + i2 * lambda2 * (2y - 1)^2."""
+    i1, i2 = indicator_terms(y_true, predict_label(y))
+    m = (2.0 * _prob(y) - 1.0) ** 2
+    return i1 * params.lambda1 * m + i2 * params.lambda2 * m
 
 
 def _branch_of(y: float, y_true: int) -> Branch:

@@ -324,10 +324,37 @@ class TestExitCodes:
                                              or "label column 99" in err)
 
     def test_runtime_failure_is_two(self, workspace, capsys):
-        # k larger than the smaller class fails inside the CV machinery
-        assert main(["cv", "--config", str(workspace["cfg"]),
-                     "--override", "k=50"]) == 2
+        # a feature cell that is not a number fails while the data is read
+        lines = workspace["data"].read_text().splitlines()
+        lines[3] = "oops," + lines[3].split(",", 1)[1]
+        workspace["data"].write_text("\n".join(lines) + "\n")
+        assert main(["cv", "--config", str(workspace["cfg"])]) == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    # each class of the toy data has 20 members; label column 0 holds features
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--override", "label_column=0"], "exactly two classes in label column 0"),
+        (["cv", "--override", "k=50"], "fewer than k=50"),
+        (["grid", "--override", "k=50", "--lambda-grid", "1,1;2,2"], "fewer than k=50"),
+        (["train", "--override", "test_fraction=0.999"], "too small for test_fraction"),
+        (["bias", "--override", "test_fraction=0.999"], "too small for test_fraction"),
+        (["risk", "--override", "test_fraction=0.999", "--confidence", "0.5,0.5"],
+         "too small for test_fraction"),
+    ], ids=["label_column=0", "cv-k=50", "grid-k=50", "train-test_fraction",
+            "bias-test_fraction", "risk-test_fraction"])
+    def test_config_value_that_does_not_fit_the_data_is_one(self, workspace, capsys,
+                                                            monkeypatch, argv, message):
+        import xmargin.cli as cli_mod
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked against the data")
+
+        for name in ("train_models", "train_loop"):
+            monkeypatch.setattr(cli_mod, name, no_training)
+        assert main([argv[0], "--config", str(workspace["cfg"]), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1  # a grid fails once, not once per cell
 
     @pytest.mark.parametrize("command", ["cv", "train"])
     def test_unwritable_output_dir_is_two(self, workspace, capsys, monkeypatch, command):

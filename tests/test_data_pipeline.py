@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmargin.data_pipeline import (CvReport, Dataset, IngestionError, Scaling,
-                                   apply_scaler, fit_scaler, load_csv,
+from xmargin.data_pipeline import (CvReport, Dataset, IngestionError, LabelChoiceError,
+                                   Scaling, apply_scaler, fit_scaler, load_csv,
                                    repeated_cv, stratified_kfold, stratified_split)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -46,8 +46,13 @@ class TestLoadCsv:
         path = tmp_path / "toy.csv"
         path.write_text("f1,f2,cls\n1,2,a\n3,4,b\n")
         data = load_csv(path, header=True)
-        assert data.feature_names == ["f1", "f2"]
-        assert data.n == 2
+        assert data.n == 2 and data.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_label_column_checked_before_features_are_parsed(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("0.1,x,a\n0.2,y,b\n0.3,z,a\n")
+        with pytest.raises(LabelChoiceError, match="exactly two classes in label column 0"):
+            load_csv(path, label_column=0)
 
     def test_three_classes_rejected(self, tmp_path):
         path = tmp_path / "toy.csv"

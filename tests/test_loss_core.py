@@ -7,14 +7,21 @@ from hypothesis import strategies as st
 
 import loss_oracle
 import xmargin
-from xmargin.loss_core import (Branch, LossFamily, LossParams, bce_loss, branches,
-                               gamma, hinge_loss, indicator_terms, loss_and_grad,
-                               loss_and_grad_vec, predict_label, sigma,
-                               xtreme_margin_loss, xtreme_margin_loss_vec,
-                               xtreme_margin_subgrad)
+from loss_oracle import indicator_terms, predict_label, sigma
+from xmargin.loss_core import (Branch, LossFamily, LossParams, branches, gamma,
+                               loss_and_grad, loss_and_grad_vec, xtreme_margin_loss,
+                               xtreme_margin_loss_vec, xtreme_margin_subgrad)
 
 E = math.e
 P11 = LossParams(1.0, 1.0)
+
+
+def bce_loss(y, y_true):
+    return loss_and_grad(y, y_true, LossParams(family=LossFamily.BCE))
+
+
+def hinge_loss(y, y_true):
+    return loss_and_grad(y, y_true, LossParams(family=LossFamily.HINGE))
 
 
 def central_diff(f, y, h=1e-6):
@@ -78,6 +85,18 @@ class TestGamma:
 
     def test_non_default_weighting(self):
         assert gamma(0.3, 0, LossParams(2.0, 9.0)) == pytest.approx(0.32, abs=1e-15)
+
+    @pytest.mark.parametrize("y_true", [0, 1])
+    def test_equals_the_indicator_form_bit_for_bit(self, y_true):
+        # 0, 0.5 and 1 with their neighbouring floats, and a 101-point grid
+        ys = [float(v) for c in (0.0, 0.5, 1.0)
+              for v in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))
+              if 0.0 <= v <= 1.0]
+        ys += [float(v) for v in np.linspace(0.0, 1.0, 101)]
+        for params in (P11, LossParams(2.5, 0.7), LossParams(0.0, 1e6)):
+            for y in ys:
+                assert (gamma(y, y_true, params).hex()
+                        == loss_oracle.gamma(y, y_true, params).hex()), y
 
 
 class TestXtremeMarginLoss:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmargin.loss_core import LossParams, loss_and_grad
+from xmargin.loss_core import LossFamily, LossParams, loss_and_grad
 from xmargin.metrics import (BiasReport, ConfusionCounts, LabelConfidence,
                              accuracy, auc, auc_brute, bias_estimate,
                              conditional_accuracy, conditional_risk, confusion,
@@ -140,23 +140,34 @@ class TestConditionalRisk:
     def test_degenerate_confidence_recovers_plain_loss(self):
         params = LossParams(2.0, 3.0)
         for y in (0.1, 0.5, 0.9):
-            assert conditional_risk(y, LabelConfidence(0.0, 1.0), params) \
+            assert conditional_risk(y, 0.0, 1.0, params) \
                 == pytest.approx(loss_and_grad(y, 1, params)[0], abs=1e-15)
-            assert conditional_risk(y, LabelConfidence(1.0, 0.0), params) \
+            assert conditional_risk(y, 1.0, 0.0, params) \
                 == pytest.approx(loss_and_grad(y, 0, params)[0], abs=1e-15)
 
     def test_worked_example(self):
         params = LossParams(1.0, 1.0)
         expected = 0.25 * math.exp(0.8) + 0.75 / (1.0 + 0.36)
-        got = conditional_risk(0.8, LabelConfidence(0.25, 0.75), params)
+        got = conditional_risk(0.8, 0.25, 0.75, params)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("family", list(LossFamily))
+    def test_arrays_equal_per_instance_values_bit_for_bit(self, family):
+        rng = np.random.default_rng(6)
+        y = np.concatenate([rng.random(200), [0.0, 0.5, 1.0]])
+        p1 = rng.random(y.size)
+        params = LossParams(2.5, 0.7, family)
+        got = conditional_risk(y, 1.0 - p1, p1, params)
+        for i in range(y.size):
+            want = ((1.0 - p1[i]) * loss_and_grad(float(y[i]), 0, params)[0]
+                    + p1[i] * loss_and_grad(float(y[i]), 1, params)[0])
+            assert got[i] == want
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 20), st.floats(0, 20))
     @settings(max_examples=200)
     def test_convex_combination_bounds(self, y, p1, l1, l2):
         params = LossParams(l1, l2)
-        conf = LabelConfidence(1.0 - p1, p1)
-        r = conditional_risk(y, conf, params)
+        r = conditional_risk(y, 1.0 - p1, p1, params)
         v0 = loss_and_grad(y, 0, params)[0]
         v1 = loss_and_grad(y, 1, params)[0]
         assert min(v0, v1) - 1e-12 <= r <= max(v0, v1) + 1e-12

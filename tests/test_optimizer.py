@@ -60,23 +60,12 @@ class TestSubgradientStep:
         subgradient_step(state, np.array([10.0, -10.0]))
         assert model.layers[0].weights[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert model.layers[0].biases[0] == pytest.approx(3.0, abs=1e-15)
-        assert state.t == 1
 
     def test_zero_gradient_no_motion(self):
         model = one_param_model(0.5, -0.5)
         subgradient_step(state_of(model, alpha=5.0), grads_like(model, 0.0))
         assert model.layers[0].weights[0, 0] == 0.5
         assert model.layers[0].biases[0] == -0.5
-
-    def test_rejects_shape_mismatch(self):
-        model = one_param_model()
-        with pytest.raises(ValueError, match="does not match parameter shape"):
-            subgradient_step(state_of(model, alpha=0.1), np.zeros(3))
-
-    def test_rejects_non_finite_gradient(self):
-        model = one_param_model()
-        with pytest.raises(ValueError):
-            subgradient_step(state_of(model, alpha=0.1), np.array([np.inf, 0.0]))
 
 
 class TestRmspropStep:
@@ -288,25 +277,6 @@ class TestFlatUpdate:
         acc = np.concatenate([v.ravel() for v in ref_acc])
         assert np.array_equal(state.accumulators, acc)
 
-    @pytest.mark.parametrize("method", [Method.RMSPROP, Method.SUBGRADIENT])
-    def test_non_finite_gradient_leaves_state_untouched(self, method):
-        from xmargin.network import build_experiment_model
-        cfg = OptimizerConfig(method=method, alpha=0.01)
-        model = build_experiment_model(7, seed=5)
-        state = TrainState(model=model, config=cfg)
-        step = rmsprop_step if method is Method.RMSPROP else subgradient_step
-        step(state, self.real_gradients(model).flat)
-        params = model.flat.copy()
-        acc = None if state.accumulators is None else state.accumulators.copy()
-        bad = self.real_gradients(model)
-        bad[2][0][1, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite gradient"):
-            step(state, bad.flat)
-        assert np.array_equal(model.flat, params)
-        if acc is not None:
-            assert np.array_equal(state.accumulators, acc)
-        assert state.t == 1
-
     def test_best_model_holds_the_best_iterate_apart_from_the_model(self):
         model = one_param_model(0.3, 0.1)
         state = TrainState(model=model, config=OptimizerConfig())
@@ -315,14 +285,11 @@ class TestFlatUpdate:
         state.note_loss(0.5)   # the best iterate: [1.3, 1.1]
         model.flat += 1.0
         state.note_loss(0.7)   # worse, so not taken
-        best = state.best_model()
-        assert np.array_equal(best.flat, [1.3, 1.1])
+        assert np.array_equal(state.best_params, [1.3, 1.1])
         model.flat += 1.0
         rmsprop_step(state, grads_like(model, 0.5))
-        assert np.array_equal(state.best_model().flat, [1.3, 1.1])
-        assert np.array_equal(best.flat, [1.3, 1.1])
+        assert np.array_equal(state.best_params, [1.3, 1.1])
         assert not np.shares_memory(state.best_params, model.flat)
-        assert not np.shares_memory(best.flat, model.flat)
 
     def test_stacked_snapshot_takes_only_the_rows_that_improved(self):
         stack = MlpModel.stack([one_param_model(0.3, 0.1), one_param_model(-0.3, -0.1)])

@@ -16,9 +16,8 @@ import weakref
 import numpy as np
 import pytest
 
-from xmargin import cli
+from xmargin import cli, data_pipeline, optimizer
 from xmargin.config import load_config
-from xmargin import data_pipeline
 from xmargin.data_pipeline import Dataset, repeated_cv
 from xmargin.loss_core import LossParams, loss_and_grad_vec
 from xmargin.network import (Activation, Layer, MlpModel, Mode, backward,
@@ -39,6 +38,7 @@ CONFIGS = {
 def train_one(model, X, y, loss, config, epochs, batch_size, rng):
     """Per-model oracle; returns (best model, final model, epoch losses)."""
     state = TrainState(model=model, config=config)
+    t = 0  # optimizer steps taken
     n = X.shape[0]
     history = []
     for epoch in range(1, epochs + 1):
@@ -51,16 +51,19 @@ def train_one(model, X, y, loss, config, epochs, batch_size, rng):
             batch_mean = float(np.mean(vals))
             if not math.isfinite(batch_mean):
                 raise FloatingPointError(
-                    f"non-finite training loss at epoch {epoch}, step {state.t}")
+                    f"non-finite training loss at epoch {epoch}, step {t}")
             grads = backward(trace, state.model, dvals / len(idx))
             if config.method is Method.SUBGRADIENT:
                 subgradient_step(state, grads.flat)
             else:
                 rmsprop_step(state, grads.flat)
+            t += 1
             state.note_loss(batch_mean)
             epoch_losses.append(batch_mean)
         history.append(float(np.mean(epoch_losses)))
-    return state.best_model(), state.model, history
+    best = state.model.copy()
+    best.flat[...] = state.best_params
+    return best, state.model, history
 
 
 def thirteen_rows():
@@ -199,6 +202,52 @@ class TestFailures:
         for b in (0, 2):
             assert out[b].final_model is models[b]
             assert not np.shares_memory(models[1].flat, models[b].flat)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_non_finite_gradient_fails_its_model_only(self, monkeypatch, name):
+        Xs, ys = unequal_training_sets()
+        seeds = [11, 12, 13]
+
+        def run():
+            models = [build_experiment_model(5, s) for s in seeds]
+            return models, train_models(models, Xs, ys, LOSS, CONFIGS[name], EPOCHS,
+                                        BATCH, [np.random.default_rng(s) for s in seeds])
+
+        _, clean = run()
+        before = []
+
+        def poisoned(trace, model, dvals, out=None):
+            # model 1's gradient turns NaN at the fourth step; its loss does not
+            grads = backward(trace, model, dvals, out=out)
+            before.append(model.flat[1].copy())
+            if len(before) == 4:
+                grads.flat[1, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(optimizer, "backward", poisoned)
+        models, out = run()
+        assert type(out[1]) is ValueError
+        assert str(out[1]) == "non-finite gradient; step rejected"
+        assert np.array_equal(models[1].flat, before[3])
+        for b in (0, 2):
+            assert np.array_equal(out[b].model.flat, clean[b].model.flat)
+            assert np.array_equal(out[b].final_model.flat, clean[b].final_model.flat)
+            assert ([h.train_loss for h in out[b].history]
+                    == [h.train_loss for h in clean[b].history])
+
+    def test_a_stack_whose_models_all_fail_returns_only_errors(self):
+        Xs, ys = unequal_training_sets()
+        Xs = [X.copy() for X in Xs]
+        Xs[0][0, 0] = np.nan
+        Xs[1] = np.abs(Xs[1]) + 1.0
+        Xs[2] = np.abs(Xs[2]) + 1.0
+        models = [build_experiment_model(5, s) for s in range(3)]
+        for m in models[1:]:
+            m.layers[0].weights[...] = 1e308
+        out = train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
+                           [np.random.default_rng(s) for s in range(3)])
+        assert "non-finite input" in str(out[0])
+        assert all(isinstance(o, FloatingPointError) for o in out[1:])
 
     def test_bad_inputs_fail_their_model_only(self):
         Xs, ys = unequal_training_sets()
