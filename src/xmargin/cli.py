@@ -52,11 +52,10 @@ def _check_k(k: int, data: Dataset) -> None:
             raise ConfigError(f"class {cls} has {size} members, fewer than k={k}")
 
 
-def _fit(build, cfg: ExperimentConfig, X, y, seed: int,
-         params: LossParams | None = None, **eval_data):
-    """Train `build(X.shape[1], seed)` with cfg's optimizer, epochs and batch
-    size, shuffling and dropping out with a generator seeded by `seed`."""
-    return train_loop(build(X.shape[1], seed), X, y, params or cfg.loss_params(),
+def _fit(build, cfg: ExperimentConfig, X, y, seed: int, **eval_data):
+    """Train `build(X.shape[1], seed)` with cfg's loss, optimizer, epochs and
+    batch size, shuffling and dropping out with a generator seeded by `seed`."""
+    return train_loop(build(X.shape[1], seed), X, y, cfg.loss_params(),
                       cfg.optimizer_config(), epochs=cfg.epochs, batch_size=cfg.batch_size,
                       rng=np.random.default_rng(seed), **eval_data)
 
@@ -122,18 +121,15 @@ def _final_metrics(probs: np.ndarray, y: np.ndarray) -> dict:
     preds = (probs >= 0.5).astype(int)
     c = confusion(preds, y)
     prec, rec = precision_recall(c)
-    out = {
+    return {
         "accuracy": accuracy(preds, y),
         "precision": prec,
         "recall": rec,
         "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn,
+        "conditional_accuracy_class0": conditional_accuracy(preds, y, 0),
+        "conditional_accuracy_class1": conditional_accuracy(preds, y, 1),
+        "auc": auc(probs[y == 1], probs[y == 0]),
     }
-    for cls in (0, 1):
-        if (y == cls).any():
-            out[f"conditional_accuracy_class{cls}"] = conditional_accuracy(preds, y, cls)
-    if (y == 1).any() and (y == 0).any():
-        out["auc"] = auc(probs[y == 1], probs[y == 0])
-    return out
 
 
 def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
@@ -328,10 +324,10 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
         if np.allclose(preds, preds[0], atol=0.0):
             warnings.append(f"degenerate ensemble for {params.family.value}: "
                             "all members produced identical predictions")
-        rep = bias_estimate(preds, yte)
         xm = params.family is LossFamily.XTREME_MARGIN
         for name, value in zip(table, (params.family.value, params.lambda1 if xm else "N/A",
-                                       params.lambda2 if xm else "N/A", rep.bias)):
+                                       params.lambda2 if xm else "N/A",
+                                       bias_estimate(preds, yte))):
             table[name].append(value)
     write_csv(os.path.join(cfg.output_dir, "bias.csv"), list(table), list(table.values()))
     out = {

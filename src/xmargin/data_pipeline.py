@@ -142,16 +142,10 @@ def apply_scaler(features: np.ndarray, method: Scaling, stats: dict) -> np.ndarr
     return features.copy()
 
 
-@dataclass
-class FoldPlan:
-    k: int
-    assignments: np.ndarray  # per-instance fold index
-    seed: int
-
-
-def stratified_kfold(data: Dataset, k: int, seed: int) -> FoldPlan:
-    """Deterministic stratified partition: shuffle each class with the seed
-    and deal round-robin, so per-fold class counts are balanced to within 1."""
+def stratified_kfold(data: Dataset, k: int, seed: int) -> np.ndarray:
+    """Each instance's fold index in a deterministic stratified partition:
+    shuffle each class with the seed and deal round-robin, so per-fold class
+    counts are balanced to within 1."""
     if k < 2:
         raise ValueError("k must be >= 2 (one fold must be held out)")
     rng = np.random.default_rng(seed)
@@ -162,7 +156,7 @@ def stratified_kfold(data: Dataset, k: int, seed: int) -> FoldPlan:
             raise ValueError(f"class {cls} has {idx.size} members, fewer than k={k}")
         idx = rng.permutation(idx)
         assignments[idx] = np.arange(idx.size) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return assignments
 
 
 def stratified_split(data: Dataset, test_fraction: float,
@@ -184,10 +178,6 @@ def stratified_split(data: Dataset, test_fraction: float,
 
 @dataclass
 class CvReport:
-    k: int
-    repeats: int
-    seed: int
-    scaling: Scaling
     fold_scores: list[list[float]]   # [repeat][fold]
     repeat_means: list[float] = field(init=False)
     repeat_stds: list[float] = field(init=False)
@@ -210,7 +200,7 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
                 seed: int, scaling: Scaling = Scaling.ZSCORE) -> CvReport:
     """Repeated stratified k-fold cross-validation.
 
-    Per repeat r a fresh FoldPlan is drawn with seed ``seed ^ r``; for each
+    Per repeat r a fresh fold partition is drawn with seed ``seed ^ r``; for each
     fold, scaling is fitted on the k-1 training folds. Every cell is handed
     to one ``train_fn(train_Xs, train_ys, cell_seeds)`` call, as iterables
     in (repeat, fold) order; ``train_Xs`` can be read once, and scales a
@@ -230,9 +220,9 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
     cells = []  # (repeat, fold, training rows, held-out mask, scaler statistics)
     train_ys, seeds = [], []
     for r in range(repeats):
-        plan = stratified_kfold(data, k, seed ^ r)
+        folds = stratified_kfold(data, k, seed ^ r)
         for fold in range(k):
-            test_mask = plan.assignments == fold
+            test_mask = folds == fold
             train_idx = np.flatnonzero(~test_mask)
             stats = fit_scaler(data.features, scaling, train_idx)
             cells.append((r, fold, train_idx, test_mask, stats))
@@ -267,6 +257,4 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
         raise failure(*cells[0][:2], ValueError(
             f"train_fn returned more predictors than the {len(cells)} cells"))
 
-    fold_scores = [flat[r * k:(r + 1) * k] for r in range(repeats)]
-    return CvReport(k=k, repeats=repeats, seed=seed, scaling=scaling,
-                    fold_scores=fold_scores)
+    return CvReport([flat[r * k:(r + 1) * k] for r in range(repeats)])

@@ -19,10 +19,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion(preds, truth) -> ConfusionCounts:
     """Counts with the default class (label 1) as the positive class."""
@@ -40,7 +36,7 @@ def confusion(preds, truth) -> ConfusionCounts:
 
 def accuracy(preds, truth) -> float:
     c = confusion(preds, truth)
-    return (c.tp + c.tn) / c.total
+    return (c.tp + c.tn) / (c.tp + c.fp + c.tn + c.fn)
 
 
 def conditional_accuracy(preds, truth, on_class: int) -> float:
@@ -112,14 +108,7 @@ class LabelConfidence:
             raise ValueError(f"confidence must be a distribution, got ({self.p0}, {self.p1})")
 
 
-@dataclass(frozen=True)
-class BiasReport:
-    mean_predictions: np.ndarray  # per-instance ensemble-mean probability
-    bias: float                   # mean squared deviation of the mean from the target
-    ensemble_size: int
-
-
-def bias_estimate(ensemble_preds, truth) -> BiasReport:
+def bias_estimate(ensemble_preds, truth) -> float:
     """Squared deviation of the ensemble-expected prediction from the target,
     averaged over the evaluation set.
 
@@ -131,10 +120,7 @@ def bias_estimate(ensemble_preds, truth) -> BiasReport:
         raise ValueError("ensemble must contain at least 2 models")
     if preds.shape[1] != truth.size:
         raise ValueError("evaluation sets differ between ensemble and truth")
-    mean_preds = preds.mean(axis=0)
-    bias = float(np.mean((mean_preds - truth) ** 2))
-    return BiasReport(mean_predictions=mean_preds, bias=bias,
-                      ensemble_size=preds.shape[0])
+    return float(np.mean((preds.mean(axis=0) - truth) ** 2))
 
 
 def conditional_risk(y, p0, p1, params: LossParams) -> np.ndarray:

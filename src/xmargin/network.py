@@ -167,24 +167,21 @@ def dropout_keep(model: MlpModel) -> np.ndarray:
 
 
 def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
-            rng: np.random.Generator | None = None,
             kept: np.ndarray | None = None) -> ForwardTrace:
     """Run the network over one instance (1-D input) or a batch (2-D).
 
     A stacked model takes a (B, n, d) batch per model, or one (n, d) batch
     that every model sees, and returns (B, n) outputs.
 
-    Train mode applies inverted dropout after each activation. `kept` is a
-    boolean (..., rows, units) array of the dropout units kept, laid out as
-    `dropout_keep(model)`; without it, one block is drawn from `rng` as
-    `rng.random(rows_shape + (units,)) < dropout_keep(model)`, and nothing
-    is drawn for a model without dropout. Each dropout layer's mask is its
-    own columns of `kept` over its keep probability. Infer mode is
+    Train mode applies inverted dropout after each activation and needs
+    `kept`, a boolean (..., rows, units) array of the dropout units kept,
+    laid out as `dropout_keep(model)`. Each dropout layer's mask is its own
+    columns of `kept` over its keep probability. Infer mode is
     deterministic and applies no masks.
     """
     xa = _checked_input(model, x)
-    if mode is Mode.TRAIN and rng is None and kept is None:
-        raise ValueError("Train mode requires a random generator")
+    if mode is Mode.TRAIN and kept is None:
+        raise ValueError("Train mode requires the dropout keep flags")
 
     raw, act, used = [], [], []
     a, col = xa, 0
@@ -193,9 +190,6 @@ def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
         raw.append(h)
         mask = None
         if mode is Mode.TRAIN and layer.dropout_rate > 0.0:
-            if kept is None:
-                keep = dropout_keep(model)
-                kept = rng.random(h.shape[:-1] + keep.shape) < keep
             width = h.shape[-1]
             mask = kept[..., col:col + width] / (1.0 - layer.dropout_rate)
             col += width

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .loss_core import LossParams, loss_and_grad_vec
+from .metrics import accuracy
 from .network import MlpModel, Mode, backward, dropout_keep, forward, predict_proba
 
 
@@ -154,13 +155,7 @@ class EpochRecord:
 @dataclass
 class TrainResult:
     model: MlpModel          # best-so-far iterate
-    final_model: MlpModel
     history: list[EpochRecord] = field(default_factory=list)
-
-
-def _accuracy(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
-    preds = (predict_proba(model, X) >= 0.5).astype(int)
-    return float(np.mean(preds == y))
 
 
 def train(model: MlpModel, X: np.ndarray, y: np.ndarray, loss: LossParams,
@@ -187,9 +182,9 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
 
     Model b trains on (Xs[b], ys[b]). Each epoch its generator rngs[b]
     shuffles it, then draws the uniforms of its dropout masks minibatch by
-    minibatch, a (rows, dropout units) block each, as `forward` does when
-    the model trains alone: an epoch's draws are the rows of one (training
-    rows, dropout units) block. Every step runs one Train-mode forward pass
+    minibatch, a (rows, dropout units) block each, `kept` as `forward` lays
+    it out: an epoch's draws are the rows of one (training rows, dropout
+    units) block. Every step runs one Train-mode forward pass
     over all models, each model's mean minibatch loss, reverse-mode
     gradients and one optimizer step over the (B, P) parameters. Models
     with fewer training rows pad their last minibatch with zero-weight rows
@@ -197,10 +192,10 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
 
     A model whose input, loss or gradient is non-finite stops training and
     its entry in the returned list is that error; it keeps the parameters it
-    had then. Every other entry is a TrainResult. Its final model is the
-    input model, whose parameters are now a row of the stack's (B, P) array:
-    the input models' own buffers are let go when training starts. Its best
-    model is a row of the stack's best-iterate snapshot.
+    had then. Every other entry is a TrainResult whose model is a row of the
+    stack's best-iterate snapshot. The input models end as the final
+    iterates: their parameters are rows of the stack's (B, P) array, and
+    their own buffers are let go when training starts.
     With `evals` (one (X, y) per model) each epoch records accuracies.
     """
     if epochs < 1:
@@ -316,8 +311,8 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
         for b in np.flatnonzero(alive):
             train_acc = eval_acc = float("nan")
             if evals is not None:
-                train_acc = _accuracy(models[b], Xs[b], ys[b])
-                eval_acc = _accuracy(models[b], *evals[b])
+                train_acc, eval_acc = (accuracy(predict_proba(models[b], X) >= 0.5, y)
+                                       for X, y in ((Xs[b], ys[b]), evals[b]))
             history[b].append(EpochRecord(epoch, float(losses[b, :batches[b]].mean()),
                                           train_acc, eval_acc))
 
@@ -326,5 +321,5 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     for b in np.flatnonzero(alive):
         best = models[b].copy()
         best.bind(state.best_params[b])
-        outcomes[b] = TrainResult(model=best, final_model=models[b], history=history[b])
+        outcomes[b] = TrainResult(model=best, history=history[b])
     return outcomes

@@ -150,18 +150,18 @@ class TestScaling:
 class TestStratifiedKfold:
     def test_balanced_counts(self):
         data = toy_dataset(n0=10, n1=10)
-        plan = stratified_kfold(data, k=2, seed=0)
+        folds = stratified_kfold(data, k=2, seed=0)
         for fold in range(2):
-            mask = plan.assignments == fold
+            mask = folds == fold
             assert mask.sum() == 10
             assert (data.labels[mask] == 1).sum() == 5
 
     def test_uneven_counts_within_one(self):
         data = toy_dataset(n0=10, n1=11)
-        plan = stratified_kfold(data, k=2, seed=3)
-        sizes = [int((plan.assignments == f).sum()) for f in range(2)]
+        folds = stratified_kfold(data, k=2, seed=3)
+        sizes = [int((folds == f).sum()) for f in range(2)]
         assert sorted(sizes) == [10, 11]
-        ones = [int((data.labels[plan.assignments == f] == 1).sum())
+        ones = [int((data.labels[folds == f] == 1).sum())
                 for f in range(2)]
         assert sorted(ones) == [5, 6]
 
@@ -175,9 +175,9 @@ class TestStratifiedKfold:
 
     def test_deterministic_and_seed_sensitive(self):
         data = toy_dataset(n0=20, n1=20)
-        a = stratified_kfold(data, k=5, seed=7).assignments
-        b = stratified_kfold(data, k=5, seed=7).assignments
-        c = stratified_kfold(data, k=5, seed=8).assignments
+        a = stratified_kfold(data, k=5, seed=7)
+        b = stratified_kfold(data, k=5, seed=7)
+        c = stratified_kfold(data, k=5, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -188,11 +188,11 @@ class TestStratifiedKfold:
         data = toy_dataset(n0=n0, n1=n1, seed=seed % 97)
         if min(n0, n1) < k:
             return
-        plan = stratified_kfold(data, k=k, seed=seed)
+        folds = stratified_kfold(data, k=k, seed=seed)
         # every instance lands in exactly one fold
-        assert ((plan.assignments >= 0) & (plan.assignments < k)).all()
+        assert ((folds >= 0) & (folds < k)).all()
         for cls in (0, 1):
-            counts = np.bincount(plan.assignments[data.labels == cls], minlength=k)
+            counts = np.bincount(folds[data.labels == cls], minlength=k)
             assert counts.max() - counts.min() <= 1
 
 
@@ -216,14 +216,12 @@ class TestStratifiedSplit:
 
 class TestCvReport:
     def test_mean_std_worked_example(self):
-        rep = CvReport(k=2, repeats=1, seed=0, scaling=Scaling.NONE,
-                       fold_scores=[[0.8, 0.6]])
+        rep = CvReport(fold_scores=[[0.8, 0.6]])
         assert rep.repeat_means == [pytest.approx(0.7)]
         assert rep.repeat_stds == [pytest.approx(0.1)]  # population std
 
     def test_envelopes(self):
-        rep = CvReport(k=2, repeats=3, seed=0, scaling=Scaling.NONE,
-                       fold_scores=[[0.8, 0.6], [0.9, 0.7], [0.5, 0.5]])
+        rep = CvReport(fold_scores=[[0.8, 0.6], [0.9, 0.7], [0.5, 0.5]])
         assert rep.mean_envelope == (pytest.approx(0.5), pytest.approx(0.8))
         assert rep.std_envelope == (pytest.approx(0.0), pytest.approx(0.1))
 
@@ -282,8 +280,8 @@ class TestRepeatedCv:
 
         repeated_cv(base, 2, 1, recording_fn("a"), accuracy_metric,
                     seed=4, scaling=Scaling.MINMAX)
-        plan = stratified_kfold(base, 2, seed=4 ^ 0)
-        victim = int(np.flatnonzero(plan.assignments == 1)[0])
+        folds = stratified_kfold(base, 2, seed=4 ^ 0)
+        victim = int(np.flatnonzero(folds == 1)[0])
         perturbed_X = base.features.copy()
         perturbed_X[victim] += 1e6
         perturbed = Dataset(features=perturbed_X, labels=base.labels.copy(),

@@ -12,10 +12,17 @@ from xmargin.network import (INFER_ROWS, Activation, Layer, MlpModel, Mode, back
                              build_boundary_model, build_mlp, build_experiment_model,
                              dropout_keep, forward, forward_single_layer, predict_proba,
                              sigmoid)
+from xmargin.optimizer import OptimizerConfig, train
 
 
 def flat_params(model):
     return np.concatenate([p.ravel() for p in model.parameters()])
+
+
+def drawn_kept(model, rows, rng):
+    """Dropout keep flags for `rows` rows, one uniform per row and dropout unit."""
+    keep = dropout_keep(model)
+    return rng.random((rows, keep.size)) < keep
 
 
 def set_flat_params(model, vec):
@@ -72,15 +79,15 @@ class TestForward:
         X = np.random.default_rng(0).normal(size=(20, 6))
         assert np.array_equal(forward(model, X).output, forward(model, X).output)
 
-    def test_train_mode_requires_rng(self):
+    def test_train_mode_requires_keep_flags(self):
         model = build_experiment_model(6, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="keep flags"):
             forward(model, np.zeros(6), Mode.TRAIN)
 
     def test_zero_dropout_train_equals_infer(self):
         model = build_boundary_model(3, seed=5)
         X = np.random.default_rng(1).normal(size=(10, 3))
-        tr = forward(model, X, Mode.TRAIN, np.random.default_rng(0)).output
+        tr = forward(model, X, Mode.TRAIN, kept=drawn_kept(model, 10, np.random.default_rng(0))).output
         inf = forward(model, X).output
         assert np.array_equal(tr, inf)
 
@@ -107,7 +114,7 @@ class TestDropout:
         acc = np.zeros_like(clean)
         n = 10000
         for _ in range(n):
-            acc += forward(model, x, Mode.TRAIN, rng).activations[0]
+            acc += forward(model, x, Mode.TRAIN, kept=drawn_kept(model, 1, rng)).activations[0]
         acc /= n
         big = np.abs(clean) > 0.1
         assert np.allclose(acc[big], clean[big], rtol=0.02)
@@ -115,7 +122,8 @@ class TestDropout:
     def test_mask_values_are_zero_or_scaled(self):
         model = build_mlp(4, [(32, Activation.RELU, 0.25),
                               (1, Activation.SIGMOID, 0.0)], seed=2)
-        tr = forward(model, np.ones(4), Mode.TRAIN, np.random.default_rng(0))
+        tr = forward(model, np.ones(4), Mode.TRAIN,
+                     kept=drawn_kept(model, 1, np.random.default_rng(0)))
         mask = tr.masks[0]
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
 
@@ -129,15 +137,16 @@ class TestDropout:
 
     @pytest.mark.parametrize("seed", [0, 11])
     def test_train_draws_one_block_of_rows_by_units(self, seed):
-        # two minibatches in turn draw the rows of one (13, units) block;
-        # each dropout layer's mask is its own columns of it over its keep
+        # two minibatches in turn take the rows of one (13, units) block of
+        # keep flags; each dropout layer's mask is its own columns of it
+        # over its keep
         model = build_experiment_model(6, seed=seed)
         X = np.random.default_rng(seed + 1).normal(size=(13, 6))
-        rng = np.random.default_rng(seed)
-        traces = [forward(model, X[:5], Mode.TRAIN, rng),
-                  forward(model, X[5:], Mode.TRAIN, rng)]
+        kept = drawn_kept(model, 13, np.random.default_rng(seed))
+        traces = [forward(model, X[:5], Mode.TRAIN, kept=kept[:5]),
+                  forward(model, X[5:], Mode.TRAIN, kept=kept[5:])]
         keep = dropout_keep(model)
-        expected = (np.random.default_rng(seed).random((13, keep.size)) < keep) / keep
+        expected = kept / keep
         col = 0
         for i, layer in enumerate(model.layers):
             if layer.dropout_rate == 0.0:
@@ -150,12 +159,16 @@ class TestDropout:
         assert col == keep.size
 
     def test_no_dropout_draws_nothing(self):
+        # training a model without dropout takes only its shuffles from its
+        # generator
         model = build_boundary_model(3, seed=5)
         assert dropout_keep(model).size == 0
-        rng = np.random.default_rng(4)
-        before = rng.bit_generator.state
-        forward(model, np.ones((9, 3)), Mode.TRAIN, rng)
-        assert rng.bit_generator.state == before
+        rng, shuffles = np.random.default_rng(4), np.random.default_rng(4)
+        train(model, np.ones((9, 3)), np.arange(9) % 2, LossParams(), OptimizerConfig(),
+              epochs=2, batch_size=4, rng=rng)
+        for _ in range(2):
+            shuffles.permutation(9)
+        assert rng.bit_generator.state == shuffles.bit_generator.state
 
 
 class TestBackward:
@@ -319,7 +332,7 @@ class TestRawActivations:
     def test_raw_times_mask_is_activation_in_train_mode(self):
         model = build_experiment_model(5, seed=4)
         X = np.random.default_rng(1).normal(size=(16, 5))
-        trace = forward(model, X, Mode.TRAIN, np.random.default_rng(2))
+        trace = forward(model, X, Mode.TRAIN, kept=drawn_kept(model, 16, np.random.default_rng(2)))
         assert any(m is not None for m in trace.masks)
         for raw, act, mask in zip(trace.raw_activations, trace.activations,
                                   trace.masks):

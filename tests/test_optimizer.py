@@ -174,7 +174,7 @@ class TestTrainLoop:
         res = train(model, X, y, LossParams(),
                     OptimizerConfig(method=Method.SUBGRADIENT, alpha=0.0),
                     epochs=3, batch_size=4, rng=np.random.default_rng(1))
-        for a, b in zip(res.final_model.parameters(), before):
+        for a, b in zip(model.parameters(), before):
             assert np.array_equal(a, b)
 
     def test_deterministic_given_seed(self):
@@ -182,12 +182,12 @@ class TestTrainLoop:
 
         def run():
             model = build_boundary_model(3, seed=0)
-            return train(model, X, y, LossParams(), OptimizerConfig(),
-                         epochs=4, batch_size=4,
-                         rng=np.random.default_rng(99))
+            return model, train(model, X, y, LossParams(), OptimizerConfig(),
+                                epochs=4, batch_size=4,
+                                rng=np.random.default_rng(99))
 
-        a, b = run(), run()
-        for pa, pb in zip(a.final_model.parameters(), b.final_model.parameters()):
+        (model_a, a), (model_b, b) = run(), run()
+        for pa, pb in zip(model_a.parameters(), model_b.parameters()):
             assert np.array_equal(pa, pb)
         assert [h.train_loss for h in a.history] == [h.train_loss for h in b.history]
 
@@ -202,7 +202,7 @@ class TestTrainLoop:
         best = float(np.mean(loss_and_grad_vec(
             predict_proba(res.model, X), y, params)[0]))
         final = float(np.mean(loss_and_grad_vec(
-            predict_proba(res.final_model, X), y, params)[0]))
+            predict_proba(model, X), y, params)[0]))
         assert best <= final + 1e-12
 
     def test_learns_separable_toy(self):
@@ -249,11 +249,12 @@ class TestFlatUpdate:
     @staticmethod
     def real_gradients(model):
         from xmargin.loss_core import loss_and_grad_vec
-        from xmargin.network import Mode, backward, forward
+        from xmargin.network import Mode, backward, dropout_keep, forward
         rng = np.random.default_rng(4)
         X = rng.normal(size=(16, model.input_dim))
         y = rng.integers(0, 2, 16)
-        trace = forward(model, X, Mode.TRAIN, rng)
+        keep = dropout_keep(model)
+        trace = forward(model, X, Mode.TRAIN, kept=rng.random((16, keep.size)) < keep)
         _, dvals = loss_and_grad_vec(trace.output, y, LossParams(2.0, 3.0))
         return backward(trace, model, dvals / 16)
 
@@ -306,10 +307,11 @@ class TestFlatUpdate:
     def test_trained_best_model_never_aliases_the_final_model(self, method):
         X, y = TestTrainLoop.toy_data()
         cfg = OptimizerConfig(method=method, alpha=0.05)
-        res = train(build_boundary_model(3, seed=1), X, y, LossParams(), cfg,
+        model = build_boundary_model(3, seed=1)
+        res = train(model, X, y, LossParams(), cfg,
                     epochs=4, batch_size=4, rng=np.random.default_rng(1))
-        assert not np.shares_memory(res.model.flat, res.final_model.flat)
+        assert not np.shares_memory(res.model.flat, model.flat)
         best = res.model.flat.copy()
-        state = TrainState(model=res.final_model, config=cfg)
-        rmsprop_step(state, grads_like(res.final_model, 0.5))
+        state = TrainState(model=model, config=cfg)
+        rmsprop_step(state, grads_like(model, 0.5))
         assert np.array_equal(res.model.flat, best)

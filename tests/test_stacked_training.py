@@ -21,8 +21,8 @@ from xmargin.config import load_config
 from xmargin.data_pipeline import Dataset, repeated_cv
 from xmargin.loss_core import LossParams, loss_and_grad_vec
 from xmargin.network import (Activation, Layer, MlpModel, Mode, backward,
-                             build_boundary_model, build_experiment_model, forward,
-                             predict_proba)
+                             build_boundary_model, build_experiment_model, dropout_keep,
+                             forward, predict_proba)
 from xmargin.optimizer import (Method, OptimizerConfig, TrainResult, TrainState,
                                rmsprop_step, subgradient_step, train, train_models)
 
@@ -38,6 +38,7 @@ CONFIGS = {
 def train_one(model, X, y, loss, config, epochs, batch_size, rng):
     """Per-model oracle; returns (best model, final model, epoch losses)."""
     state = TrainState(model=model, config=config)
+    keep = dropout_keep(model)
     t = 0  # optimizer steps taken
     n = X.shape[0]
     history = []
@@ -46,7 +47,8 @@ def train_one(model, X, y, loss, config, epochs, batch_size, rng):
         epoch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            trace = forward(state.model, X[idx], Mode.TRAIN, rng)
+            kept = rng.random((len(idx), keep.size)) < keep
+            trace = forward(state.model, X[idx], Mode.TRAIN, kept=kept)
             vals, dvals = loss_and_grad_vec(trace.output, y[idx], loss)
             batch_mean = float(np.mean(vals))
             if not math.isfinite(batch_mean):
@@ -123,19 +125,19 @@ class TestAgainstPerModelTraining:
         config = CONFIGS[name]
         Xs, ys = unequal_training_sets()
         seeds = [11, 12, 13]
-        stacked = train_models([build_experiment_model(5, s) for s in seeds], Xs, ys,
-                               LOSS, config, EPOCHS, BATCH,
+        models = [build_experiment_model(5, s) for s in seeds]
+        stacked = train_models(models, Xs, ys, LOSS, config, EPOCHS, BATCH,
                                [np.random.default_rng(s) for s in seeds])
-        for res, X, y, s in zip(stacked, Xs, ys, seeds):
+        for res, model, X, y, s in zip(stacked, models, Xs, ys, seeds):
             best, final, history = train_one(build_experiment_model(5, s), X, y, LOSS,
                                              config, EPOCHS, BATCH,
                                              np.random.default_rng(s))
             assert np.max(np.abs(res.model.flat - best.flat)) <= 1e-12
-            assert np.max(np.abs(res.final_model.flat - final.flat)) <= 1e-12
+            assert np.max(np.abs(model.flat - final.flat)) <= 1e-12
             assert np.max(np.abs(np.array([h.train_loss for h in res.history])
                                  - history)) <= 1e-12
         # the best iterate is a real snapshot, not the final model
-        assert any(not np.array_equal(r.model.flat, r.final_model.flat) for r in stacked)
+        assert any(not np.array_equal(r.model.flat, m.flat) for r, m in zip(stacked, models))
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_cv_fold_scores_equal(self, name):
@@ -147,13 +149,14 @@ class TestAgainstPerModelTraining:
 
     def test_single_model_api_is_one_stacked_model(self):
         X, y = unequal_training_sets()
-        a = train(build_boundary_model(5, 1), X[0], y[0], LOSS, CONFIGS["rmsprop"],
+        model = build_boundary_model(5, 1)
+        a = train(model, X[0], y[0], LOSS, CONFIGS["rmsprop"],
                   EPOCHS, BATCH, np.random.default_rng(1))
         best, final, history = train_one(build_boundary_model(5, 1), X[0], y[0], LOSS,
                                          CONFIGS["rmsprop"], EPOCHS, BATCH,
                                          np.random.default_rng(1))
         assert np.array_equal(a.model.flat, best.flat)
-        assert np.array_equal(a.final_model.flat, final.flat)
+        assert np.array_equal(model.flat, final.flat)
         assert [h.train_loss for h in a.history] == history
 
     def test_accuracies_only_with_evaluation_data(self):
@@ -200,7 +203,6 @@ class TestFailures:
         assert isinstance(out[1], FloatingPointError)
         assert np.array_equal(models[1].flat, before)
         for b in (0, 2):
-            assert out[b].final_model is models[b]
             assert not np.shares_memory(models[1].flat, models[b].flat)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -213,7 +215,7 @@ class TestFailures:
             return models, train_models(models, Xs, ys, LOSS, CONFIGS[name], EPOCHS,
                                         BATCH, [np.random.default_rng(s) for s in seeds])
 
-        _, clean = run()
+        clean_models, clean = run()
         before = []
 
         def poisoned(trace, model, dvals, out=None):
@@ -231,7 +233,7 @@ class TestFailures:
         assert np.array_equal(models[1].flat, before[3])
         for b in (0, 2):
             assert np.array_equal(out[b].model.flat, clean[b].model.flat)
-            assert np.array_equal(out[b].final_model.flat, clean[b].final_model.flat)
+            assert np.array_equal(models[b].flat, clean_models[b].flat)
             assert ([h.train_loss for h in out[b].history]
                     == [h.train_loss for h in clean[b].history])
 
