@@ -302,10 +302,11 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                 grads.flat[~rows] = 0.0
                 if state.accumulators is not None:
                     held = state.accumulators[~rows]
+            # the snapshot pairs each loss with the parameters that scored it
+            state.note_loss(batch_mean)
             step(state, grads.flat)
             if held is not None:
                 state.accumulators[~rows] = held
-            state.note_loss(batch_mean)
             losses[:, s] = batch_mean
 
         for b in np.flatnonzero(alive):

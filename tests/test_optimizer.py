@@ -191,19 +191,23 @@ class TestTrainLoop:
             assert np.array_equal(pa, pb)
         assert [h.train_loss for h in a.history] == [h.train_loss for h in b.history]
 
-    def test_best_model_not_worse_than_final(self):
-        X, y = self.toy_data()
-        model = build_boundary_model(3, seed=0)
-        res = train(model, X, y, LossParams(),
-                    OptimizerConfig(method=Method.SUBGRADIENT, alpha=0.5),
-                    epochs=30, batch_size=12, rng=np.random.default_rng(2))
-        params = LossParams()
+    def test_best_model_is_the_scored_minimum(self):
+        # one full batch per epoch and no dropout: each epoch's loss is the
+        # loss of the parameters it started from, so the returned model
+        # scores the lowest of them, and one step returns the start
         from xmargin.loss_core import loss_and_grad_vec
+        X, y = self.toy_data()
+        cfg = OptimizerConfig(method=Method.SUBGRADIENT, alpha=0.5)
+        res = train(build_boundary_model(3, seed=0), X, y, LossParams(), cfg,
+                    epochs=30, batch_size=12, rng=np.random.default_rng(2))
         best = float(np.mean(loss_and_grad_vec(
-            predict_proba(res.model, X), y, params)[0]))
-        final = float(np.mean(loss_and_grad_vec(
-            predict_proba(model, X), y, params)[0]))
-        assert best <= final + 1e-12
+            predict_proba(res.model, X), y, LossParams())[0]))
+        assert best == pytest.approx(min(h.train_loss for h in res.history),
+                                     rel=1e-12, abs=0)
+        start = build_boundary_model(3, seed=0)
+        one = train(build_boundary_model(3, seed=0), X, y, LossParams(), cfg,
+                    epochs=1, batch_size=12, rng=np.random.default_rng(2))
+        assert np.array_equal(one.model.flat, start.flat)
 
     def test_learns_separable_toy(self):
         rng = np.random.default_rng(10)

@@ -55,12 +55,12 @@ def train_one(model, X, y, loss, config, epochs, batch_size, rng):
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch}, step {t}")
             grads = backward(trace, state.model, dvals / len(idx))
+            state.note_loss(batch_mean)
             if config.method is Method.SUBGRADIENT:
                 subgradient_step(state, grads.flat)
             else:
                 rmsprop_step(state, grads.flat)
             t += 1
-            state.note_loss(batch_mean)
             epoch_losses.append(batch_mean)
         history.append(float(np.mean(epoch_losses)))
     best = state.model.copy()
