@@ -419,6 +419,15 @@ def _lambda_grid(text: str) -> list[LossParams]:
     return cells
 
 
+@_flag_type
+def _variants(text: str) -> list[LossParams]:
+    """'xm:1:50,bce' -> [LossParams(1, 50), LossParams(family=BCE)]."""
+    variants = [parse_variant(v) for v in text.split(",") if v.strip()]
+    if not variants:
+        raise ValueError("variants must be non-empty")
+    return variants
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="xmargin", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -450,9 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=201)
 
     p = command("bias", cmd_bias, "ensemble bias comparison across loss settings")
-    p.add_argument("--variants", default="xm:1:50,xm:50:1,bce,hinge",
-                   type=_flag_type(lambda text: [parse_variant(v)
-                                                 for v in text.split(",") if v.strip()]),
+    p.add_argument("--variants", default="xm:1:50,xm:50:1,bce,hinge", type=_variants,
                    help="comma-separated variants: xm:L1:L2, bce, hinge")
     p.add_argument("--ensemble-size", type=int, default=5)
 

@@ -102,11 +102,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path: str, overrides: list[str] = ()) -> ExperimentConfig:
-    """Read a config file and apply 'key=value' overrides on top."""
+    """Read a UTF-8 config file and apply 'key=value' overrides on top."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     values = parse_config_text(text, source=path)
     values.update(_parse_item(item, "--override: ", "override key") for item in overrides)

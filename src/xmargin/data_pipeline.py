@@ -60,15 +60,18 @@ class Dataset:
 
 def load_csv(path, label_column: int = -1, default_class_raw_label: str | None = None,
              header: bool = False) -> Dataset:
-    """Parse a two-class CSV into a Dataset.
+    """Parse a two-class UTF-8 CSV into a Dataset.
 
     The raw label equal to ``default_class_raw_label`` becomes class 1, the
     other class 0. Parse failures report the offending row and column.
     """
     if not os.path.exists(path):
         raise IngestionError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r]
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text: {exc}") from None
     if header:
         if not rows:
             raise IngestionError(f"{path}: empty file")
@@ -200,8 +203,8 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
                 seed: int, scaling: Scaling = Scaling.ZSCORE) -> CvReport:
     """Repeated stratified k-fold cross-validation.
 
-    Per repeat r a fresh fold partition is drawn with seed ``seed ^ r``; for each
-    fold, scaling is fitted on the k-1 training folds. Every cell is handed
+    Per repeat r a fresh fold partition is drawn with seed ``seed ^ r``; for
+    each fold, scaling is fitted on the k-1 training folds. Every cell is handed
     to one ``train_fn(train_Xs, train_ys, cell_seeds)`` call, as iterables
     in (repeat, fold) order; ``train_Xs`` can be read once, and scales a
     cell's training rows when they are read, so a ``train_fn`` that reads

@@ -308,6 +308,34 @@ class TestVariantParsing:
             parse_variant("bce:3")
 
 
+class TestUtf8Inputs:
+    """Configs and datasets are read as UTF-8, whatever the locale."""
+
+    def test_non_ascii_config_and_labels_under_an_ascii_locale(self, workspace):
+        data, cfg = workspace["data"], workspace["cfg"]
+        data.write_text(data.read_text().replace(",neg", ",négatif"), encoding="utf-8")
+        cfg.write_text("# λ sweep ✓\n" + cfg.read_text(), encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
+        for command in ("loss-curve", "train"):
+            proc = subprocess.run([sys.executable, "-m", "xmargin.cli", command,
+                                   "--config", str(cfg)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, workspace, capsys):
+        workspace["cfg"].write_bytes(b"# \xff\n" + workspace["cfg"].read_bytes())
+        assert main(["train", "--config", str(workspace["cfg"])]) == 1
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_dataset_that_is_not_utf8_is_a_runtime_failure(self, workspace, capsys):
+        data = workspace["data"]
+        data.write_bytes(data.read_bytes().replace(b",neg", b",n\xe9g"))
+        assert main(["train", "--config", str(workspace["cfg"])]) == 2
+        assert f"{data}: not UTF-8 text" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_config_error_is_one(self, workspace, capsys):
         bad = workspace["tmp"] / "bad.cfg"
@@ -591,6 +619,7 @@ class TestMalformedFlagsExitOne:
         ["frobnicate", "--config", "{cfg}"],
         ["loss-curve", "--config", "{cfg}", "--y-true", "5"],
         ["bias", "--config", "{cfg}", "--ensemble-size", "two"],
+        ["bias", "--config", "{cfg}", "--variants", ","],
     ])
     def test_usage_error(self, workspace, capsys, argv):
         # a usage error returns 1 like any other bad input: no SystemExit

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,12 @@ def toy_dataset(n0=10, n1=10, d=3, seed=0):
 
 
 class TestLoadCsv:
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_bytes(b"1.0,yes\n2.0,n\xf6\n")
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_csv(path)
+
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text("1.0,2.0,yes\n3.5,-1.0,no\n0.0,0.5,yes\n")

@@ -87,7 +87,8 @@ class TestForward:
     def test_zero_dropout_train_equals_infer(self):
         model = build_boundary_model(3, seed=5)
         X = np.random.default_rng(1).normal(size=(10, 3))
-        tr = forward(model, X, Mode.TRAIN, kept=drawn_kept(model, 10, np.random.default_rng(0))).output
+        kept = drawn_kept(model, 10, np.random.default_rng(0))
+        tr = forward(model, X, Mode.TRAIN, kept=kept).output
         inf = forward(model, X).output
         assert np.array_equal(tr, inf)
 
@@ -332,7 +333,8 @@ class TestRawActivations:
     def test_raw_times_mask_is_activation_in_train_mode(self):
         model = build_experiment_model(5, seed=4)
         X = np.random.default_rng(1).normal(size=(16, 5))
-        trace = forward(model, X, Mode.TRAIN, kept=drawn_kept(model, 16, np.random.default_rng(2)))
+        kept = drawn_kept(model, 16, np.random.default_rng(2))
+        trace = forward(model, X, Mode.TRAIN, kept=kept)
         assert any(m is not None for m in trace.masks)
         for raw, act, mask in zip(trace.raw_activations, trace.activations,
                                   trace.masks):
