@@ -123,6 +123,10 @@ def validate(cfg: ExperimentConfig, needs_dataset: bool = True) -> None:
             problems.append("dataset path is required")
         elif not os.path.exists(cfg.dataset):
             problems.append(f"dataset file does not exist: {cfg.dataset}")
+    try:
+        os.fsencode(cfg.output_dir)
+    except UnicodeEncodeError as exc:
+        problems.append(f"output_dir is not a file name in this locale: {exc}")
     for name, ok in [
         ("seed", cfg.seed is None or cfg.seed >= 0),
         ("lambda1", cfg.lambda1 >= 0 and math.isfinite(cfg.lambda1)),

@@ -191,7 +191,7 @@ def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
         mask = None
         if mode is Mode.TRAIN and layer.dropout_rate > 0.0:
             width = h.shape[-1]
-            mask = kept[..., col:col + width] / (1.0 - layer.dropout_rate)
+            mask = np.multiply(kept[..., col:col + width], 1.0 / (1.0 - layer.dropout_rate))
             col += width
             h = h * mask
         act.append(h)

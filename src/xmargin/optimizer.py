@@ -181,10 +181,11 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     """Mini-batch training of models of one architecture as one stack.
 
     Model b trains on (Xs[b], ys[b]). Each epoch its generator rngs[b]
-    shuffles it, then draws the uniforms of its dropout masks minibatch by
-    minibatch, a (rows, dropout units) block each, `kept` as `forward` lays
-    it out: an epoch's draws are the rows of one (training rows, dropout
-    units) block. Every step runs one Train-mode forward pass
+    shuffles it, then draws the uniforms of the epoch's dropout masks as one
+    (training rows, dropout units) block, `kept` as `forward` lays it out;
+    minibatch s takes that block's rows s*batch_size onwards. Consecutive
+    draws from one generator are the rows of one block, so this equals a
+    draw per minibatch. Every step runs one Train-mode forward pass
     over all models, each model's mean minibatch loss, reverse-mode
     gradients and one optimizer step over the (B, P) parameters. Models
     with fewer training rows pad their last minibatch with zero-weight rows
@@ -237,9 +238,9 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     # real rows of each model in each step
     counts = np.clip(n[:, None] - batch_size * np.arange(n_steps), 0, batch_size)
     keep = dropout_keep(stack)
-    # each step's dropout keep flags, drawn per model as its rows are gathered;
-    # a padding row keeps an earlier step's flags, which its zero weight voids
-    kept = np.zeros((n_models, batch_size, keep.size), dtype=bool)
+    # each epoch's dropout keep flags, drawn per model right after its shuffle;
+    # a padding row's flags are never drawn, and its zero weight voids them
+    kept = np.zeros((n_models, span, keep.size), dtype=bool)
 
     step_rows = counts.T.tolist()  # per step, each model's real rows
 
@@ -257,6 +258,7 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
         order = np.empty((n_models, span), dtype=int)
         for b in np.flatnonzero(alive):
             order[b, :n[b]] = rngs[b].permutation(n[b])
+            np.less(rngs[b].random((n[b], keep.size)), keep, out=kept[b, :n[b]])
 
         for s, per_model in enumerate(step_rows):
             width = max(per_model)
@@ -268,17 +270,20 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
             yb = np.zeros((n_models, width))
             for b, rows_b in enumerate(per_model):
                 if rows_b:
-                    np.take(Xs[b], order[b, lo:lo + rows_b], axis=0, out=xb[b, :rows_b])
-                    np.take(ys[b], order[b, lo:lo + rows_b], out=yb[b, :rows_b])
-                    np.less(rngs[b].random((rows_b, keep.size)), keep, out=kept[b, :rows_b])
-            trace = forward(stack, xb, Mode.TRAIN, kept=kept[:, :width])
+                    idx = order[b, lo:lo + rows_b]
+                    Xs[b].take(idx, axis=0, out=xb[b, :rows_b])
+                    ys[b].take(idx, out=yb[b, :rows_b])
+            trace = forward(stack, xb, Mode.TRAIN, kept=kept[:, lo:lo + width])
             vals, dvals = loss_and_grad_vec(trace.output, yb, loss)
             cnt = counts[:, s]
-            # padding rows weigh 0; each model's mean is over its real rows
-            real = np.arange(width) < cnt[:, None]
+            if min(per_model) < width:
+                # padding rows weigh 0; each model's mean is over its real rows
+                real = np.arange(width) < cnt[:, None]
+                vals = np.where(real, vals, 0.0)
+                dvals = np.where(real, dvals, 0.0)
             used = np.maximum(cnt, 1)
-            batch_mean = np.where(real, vals, 0.0).sum(axis=-1) / used
-            dvals = np.where(real, dvals, 0.0) / used[:, None]
+            batch_mean = vals.sum(axis=-1) / used
+            dvals /= used[:, None]
             grads = backward(trace, stack, dvals, out=grads)
             # losses are bounded, so their sum is finite exactly when each is
             if not (np.isfinite(grads.flat).all() and math.isfinite(batch_mean.sum())):

@@ -324,6 +324,21 @@ class TestUtf8Inputs:
                                   env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
 
+    def test_output_dir_the_file_system_cannot_encode_is_a_config_error(self, workspace):
+        cfg, out = workspace["cfg"], workspace["out"]
+        cfg.write_text(cfg.read_text().replace(f"output_dir = {out}",
+                                               f"output_dir = {out}/résumé"),
+                       encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "xmargin.cli", "loss-curve",
+                               "--config", str(cfg), "--samples", "3"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert "output_dir" in proc.stderr
+        assert not out.exists()
+
     def test_config_that_is_not_utf8_is_a_config_error(self, workspace, capsys):
         workspace["cfg"].write_bytes(b"# \xff\n" + workspace["cfg"].read_bytes())
         assert main(["train", "--config", str(workspace["cfg"])]) == 1

@@ -237,6 +237,44 @@ class TestFailures:
             assert ([h.train_loss for h in out[b].history]
                     == [h.train_loss for h in clean[b].history])
 
+    @staticmethod
+    def poisoned_run(monkeypatch, poison):
+        """Train three models with rmsprop; `poison(grads.flat)` edits the
+        stack's gradient at the fourth step."""
+        Xs, ys = unequal_training_sets()
+        calls = []
+
+        def poisoned(trace, model, dvals, out=None):
+            grads = backward(trace, model, dvals, out=out)
+            calls.append(None)
+            if len(calls) == 4:
+                poison(grads.flat)
+            return grads
+
+        monkeypatch.setattr(optimizer, "backward", poisoned)
+        models = [build_experiment_model(5, s) for s in (11, 12, 13)]
+        return models, train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS,
+                                    BATCH, [np.random.default_rng(s) for s in (11, 12, 13)])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_finite_gradients_whose_sum_overflows_fail_no_model(self, monkeypatch):
+        def poison(g):
+            g[1, 0] = g[1, 1] = 1e308  # so model 1's own sum overflows too
+
+        models, out = self.poisoned_run(monkeypatch, poison)
+        assert all(type(o) is TrainResult for o in out)
+        assert all(np.isfinite(m.flat).all() for m in models)
+
+    def test_infinities_of_both_signs_fail_exactly_their_models(self, monkeypatch):
+        def poison(g):
+            g[0, 0], g[2, 0] = np.inf, -np.inf
+
+        _, out = self.poisoned_run(monkeypatch, poison)
+        for b in (0, 2):
+            assert type(out[b]) is ValueError
+            assert str(out[b]) == "non-finite gradient; step rejected"
+        assert type(out[1]) is TrainResult
+
     def test_a_stack_whose_models_all_fail_returns_only_errors(self):
         Xs, ys = unequal_training_sets()
         Xs = [X.copy() for X in Xs]
