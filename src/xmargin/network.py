@@ -29,8 +29,13 @@ class Mode(enum.Enum):
 
 
 def sigmoid(z):
-    # 1/(1+e^-z) = e^{-log(1+e^-z)}: branch-free, exact in both tails
-    return np.exp(-np.logaddexp(0.0, -np.asarray(z, dtype=float)))
+    # one exp of -|z|, which lies in [0, 1], so nothing overflows:
+    # s = 1/(1+e) is sigmoid(|z|) and e*s is sigmoid(-|z|), down to
+    # sigmoid(-745) = 5e-324
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    s = 1.0 / (1.0 + e)
+    return np.where(z < 0, e * s, s)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 import tracemalloc
@@ -23,6 +24,12 @@ def drawn_kept(model, rows, rng):
     """Dropout keep flags for `rows` rows, one uniform per row and dropout unit."""
     keep = dropout_keep(model)
     return rng.random((rows, keep.size)) < keep
+
+
+def logaddexp_sigmoid(z):
+    """The sigmoid as e^{-log(1 + e^-z)}: one formula for every z, with
+    none of `sigmoid`'s branch on the sign of z."""
+    return np.exp(-np.logaddexp(0.0, -np.asarray(z, dtype=float)))
 
 
 def set_flat_params(model, vec):
@@ -357,6 +364,35 @@ class TestSigmoidReference:
     def test_far_negative_tail_is_not_flushed(self):
         assert float(sigmoid(np.array([-40.0]))[0]) == pytest.approx(
             math.exp(-40.0), rel=1e-12)
+
+    def test_agrees_with_the_logaddexp_form(self):
+        z = np.concatenate([np.linspace(-8.0, 8.0, 100_001),
+                            np.linspace(-745.0, 745.0, 100_001)])
+        ref = logaddexp_sigmoid(z)
+        rel = np.abs(sigmoid(z) - ref) / ref
+        near = np.abs(z) <= 8.0
+        assert rel[near].max() <= 1e-15
+        # the logaddexp form rounds log(1 + e^-z) ~ -z before its exp, so its
+        # own relative error grows like |z| eps in the negative tail
+        assert (rel[~near] <= 2.0 * np.abs(z[~near]) * np.finfo(float).eps).all()
+
+    def test_within_1e15_of_the_correctly_rounded_value(self):
+        z = np.concatenate([np.linspace(-700.0, 700.0, 2801), np.linspace(-40.0, 40.0, 1601)])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            exact = np.array([float(1 / (1 + (-decimal.Decimal(float(v))).exp())) for v in z])
+        assert (np.abs(sigmoid(z) - exact) / exact).max() <= 1e-15
+
+    def test_tails(self):
+        z = np.array([-745.0, 700.0, np.inf, -np.inf, 0.0, -0.0])
+        assert sigmoid(z).tolist() == [5e-324, 1.0, 1.0, 0.0, 0.5, 0.5]
+
+    def test_no_floating_point_warnings(self):
+        z = np.array([-np.inf, -1e308, -1e4, -746.0, -745.0, -40.0, -0.0, 0.0,
+                      40.0, 745.0, 1e4, 1e308, np.inf])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = sigmoid(z)
+        assert ((out >= 0.0) & (out <= 1.0)).all()
 
 
 ROW_COUNTS = (0, 50, INFER_ROWS - 1, INFER_ROWS, INFER_ROWS + 1, 2 * INFER_ROWS + 1)
