@@ -72,8 +72,7 @@ def _fit(build, cfg: ExperimentConfig, X, y, seed: int, **eval_data):
 STACK_PARAMS = 5 * 6657
 
 
-def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds,
-              params: LossParams | None = None):
+def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds):
     """`_fit` for many (X, y, seed), in order: yields one TrainResult, or the
     exception that model failed with, per seed. The models are trained in
     stacks of at most STACK_PARAMS parameters, and each (X, y, seed) is read
@@ -82,7 +81,7 @@ def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds,
 
     def train(stack):
         models, part_Xs, part_ys, part_seeds = zip(*stack)
-        return train_models(list(models), part_Xs, part_ys, params or cfg.loss_params(),
+        return train_models(list(models), part_Xs, part_ys, cfg.loss_params(),
                             cfg.optimizer_config(), epochs=cfg.epochs,
                             batch_size=cfg.batch_size,
                             rngs=[np.random.default_rng(seed) for seed in part_seeds])
@@ -270,9 +269,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
 def cmd_loss_curve(cfg: ExperimentConfig, y_true: int, samples: int) -> dict:
     if samples < 2:
         raise ConfigError("samples must be >= 2")
-    params = cfg.loss_params()
-    if params.family is not LossFamily.XTREME_MARGIN:
-        params = LossParams(cfg.lambda1, cfg.lambda2, LossFamily.XTREME_MARGIN)
+    params = LossParams(cfg.lambda1, cfg.lambda2)  # Xtreme Margin, whatever loss_family is
     y = np.linspace(0.0, 1.0, samples)
     write_csv(os.path.join(cfg.output_dir, "loss_curve.csv"),
               ["y", "loss", "branch", "correct_case", "misclassified_case"],
@@ -314,9 +311,11 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
     warnings = []
     seeds = [cfg.seed + 7919 * (member + 1) for member in range(ensemble_size)]
     for params in variants:
+        variant_cfg = dataclasses.replace(cfg, loss_family=params.family,
+                                          lambda1=params.lambda1, lambda2=params.lambda2)
         preds = []
-        for result in _fit_many(build_experiment_model, cfg, [Xtr] * ensemble_size,
-                                [ytr] * ensemble_size, seeds, params):
+        for result in _fit_many(build_experiment_model, variant_cfg, [Xtr] * ensemble_size,
+                                [ytr] * ensemble_size, seeds):
             if isinstance(result, Exception):
                 raise result
             preds.append(predict_proba(result.model, Xte))

@@ -123,10 +123,14 @@ def validate(cfg: ExperimentConfig, needs_dataset: bool = True) -> None:
             problems.append("dataset path is required")
         elif not os.path.exists(cfg.dataset):
             problems.append(f"dataset file does not exist: {cfg.dataset}")
+        elif not os.path.isfile(cfg.dataset):
+            problems.append(f"dataset is not a file: {cfg.dataset}")
     try:
         os.fsencode(cfg.output_dir)
     except UnicodeEncodeError as exc:
         problems.append(f"output_dir is not a file name in this locale: {exc}")
+    if "\0" in cfg.output_dir:
+        problems.append(f"output_dir holds a NUL byte: {cfg.output_dir!r}")
     for name, ok in [
         ("seed", cfg.seed is None or cfg.seed >= 0),
         ("lambda1", cfg.lambda1 >= 0 and math.isfinite(cfg.lambda1)),

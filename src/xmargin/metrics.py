@@ -1,7 +1,7 @@
 """Evaluation metrics: confusion counts, (conditional) accuracy,
-precision/recall with explicit undefined markers, rank-based AUC, an
-ensemble bias estimator, and the conditional risk of a prediction under
-label uncertainty."""
+precision/recall with explicit undefined markers, the all-pairs AUC counted
+exactly, an ensemble bias estimator, and the conditional risk of a
+prediction under label uncertainty."""
 
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ def precision_recall(counts: ConfusionCounts) -> tuple[float | None, float | Non
 
 def auc_brute(scores_pos, scores_neg) -> float:
     """All-pairs AUC definition; ties count one half. Quadratic, used as the
-    oracle for the rank-based implementation."""
+    oracle for `auc`."""
     scores_pos = np.asarray(scores_pos, dtype=float)
     scores_neg = np.asarray(scores_neg, dtype=float)
     if scores_pos.size == 0 or scores_neg.size == 0:
@@ -73,26 +73,19 @@ def auc_brute(scores_pos, scores_neg) -> float:
 
 
 def auc(scores_pos, scores_neg) -> float:
-    """Rank-statistic AUC (Mann-Whitney U with midranks for ties),
-    equal to the all-pairs definition exactly."""
+    """The all-pairs AUC, counted exactly: for each positive score, the
+    negatives below it and, at one half each, the negatives tied with it,
+    found by binary search in the sorted negatives. Every count is an
+    integer or a half-integer, so the sum is exact."""
     scores_pos = np.asarray(scores_pos, dtype=float)
-    scores_neg = np.asarray(scores_neg, dtype=float)
+    scores_neg = np.sort(np.asarray(scores_neg, dtype=float))
     if scores_pos.size == 0 or scores_neg.size == 0:
         raise ValueError("both classes must be non-empty")
-    m, n = scores_pos.size, scores_neg.size
-    combined = np.concatenate([scores_pos, scores_neg])
-    order = np.argsort(combined, kind="mergesort")
-    sorted_vals = combined[order]
-    # runs of tied values: a run starts wherever the sorted value changes
-    # (compared with !=, not a difference, so equal infinities tie)
-    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
-    lengths = np.diff(starts, append=m + n)
-    ranks = np.empty(m + n)
-    # midrank, 1-based: the mean of the run's first and last 0-based positions
-    ranks[order] = np.repeat(0.5 * (2 * starts + lengths - 1) + 1.0, lengths)
-    rank_sum_pos = ranks[:m].sum()
-    u = rank_sum_pos - m * (m + 1) / 2.0
-    return float(u / (m * n))
+    if np.isnan(scores_pos).any() or np.isnan(scores_neg).any():
+        raise ValueError("scores must not be NaN")  # a NaN has no order to count
+    below = np.searchsorted(scores_neg, scores_pos, "left")
+    tied = np.searchsorted(scores_neg, scores_pos, "right") - below
+    return float((below.sum() + 0.5 * tied.sum()) / (scores_pos.size * scores_neg.size))
 
 
 @dataclass(frozen=True)

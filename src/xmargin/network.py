@@ -143,25 +143,8 @@ def forward_single_layer(weights: np.ndarray, x: np.ndarray) -> float:
     return float(sigmoid(np.array([w @ xv]))[0])
 
 
-def _checked_input(model: MlpModel, x) -> np.ndarray:
-    """`x` as an at least 2-D float array, finite and as wide as the model's input."""
-    xa = np.atleast_2d(np.asarray(x, dtype=float))
-    if xa.shape[-1] != model.input_dim:
-        raise ValueError(f"input dim {xa.shape[-1]} != model input dim {model.input_dim}")
-    if not np.isfinite(xa).all():
-        raise ValueError("non-finite input")
-    return xa
-
-
 # rows per block of `predict_proba`
 INFER_ROWS = 4096
-
-
-def _dense(layer: Layer, a: np.ndarray) -> np.ndarray:
-    """activation(a @ W^T + b), computed in the matmul's own array."""
-    z = np.matmul(a, layer.weights.swapaxes(-1, -2))
-    z += layer.biases[..., None, :]
-    return np.maximum(z, 0.0, out=z) if layer.activation is Activation.RELU else sigmoid(z)
 
 
 def dropout_keep(model: MlpModel) -> np.ndarray:
@@ -184,14 +167,21 @@ def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
     columns of `kept` over its keep probability. Infer mode is
     deterministic and applies no masks.
     """
-    xa = _checked_input(model, x)
+    xa = np.atleast_2d(np.asarray(x, dtype=float))
+    if xa.shape[-1] != model.input_dim:
+        raise ValueError(f"input dim {xa.shape[-1]} != model input dim {model.input_dim}")
+    if not np.isfinite(xa).all():
+        raise ValueError("non-finite input")
     if mode is Mode.TRAIN and kept is None:
         raise ValueError("Train mode requires the dropout keep flags")
 
     raw, act, used = [], [], []
     a, col = xa, 0
     for layer in model.layers:
-        h = _dense(layer, a)
+        # activation(a @ W^T + b), computed in the matmul's own array
+        h = np.matmul(a, layer.weights.swapaxes(-1, -2))
+        h += layer.biases[..., None, :]
+        h = np.maximum(h, 0.0, out=h) if layer.activation is Activation.RELU else sigmoid(h)
         raw.append(h)
         mask = None
         if mode is Mode.TRAIN and layer.dropout_rate > 0.0:
@@ -307,19 +297,12 @@ def build_boundary_model(input_dim: int, seed: int) -> MlpModel:
 
 def predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """`forward(model, X, Mode.INFER).output` of each block of `INFER_ROWS`
-    rows, joined ((B, n) for a stacked model), so only one block's running
-    activation is held rather than a per-layer trace of every row. Up to
-    `INFER_ROWS` rows this is forward's output bit for bit; past that a row
-    can differ from an unblocked `forward` in its last bits, as BLAS may
-    round a row by how many rows share its matmul."""
-    x = _checked_input(model, X)
-
-    def block(lo: int) -> np.ndarray:
-        a = x[..., lo:lo + INFER_ROWS, :]
-        for layer in model.layers:
-            a = _dense(layer, a)
-        return a[..., 0]
-
+    rows, joined ((B, n) for a stacked model), so only one block's trace is
+    held rather than a per-layer trace of every row. Up to `INFER_ROWS` rows
+    this is forward's output; past that a row can differ from an unblocked
+    `forward` in its last bits, as BLAS may round a row by how many rows
+    share its matmul."""
+    x = np.atleast_2d(np.asarray(X, dtype=float))
     # one block even for 0 rows, so an empty input gives an empty (..., 0) output
-    return np.concatenate(list(map(block, range(0, max(x.shape[-2], 1), INFER_ROWS))),
-                          axis=-1)
+    return np.concatenate([forward(model, x[..., lo:lo + INFER_ROWS, :]).output
+                           for lo in range(0, max(x.shape[-2], 1), INFER_ROWS)], axis=-1)

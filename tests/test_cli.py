@@ -413,6 +413,21 @@ class TestExitCodes:
         assert "runtime failure" in capsys.readouterr().err
         assert trained == []
 
+    def test_output_dir_with_a_nul_byte_is_one(self, workspace, capsys):
+        cfg, out = workspace["cfg"], workspace["out"]
+        cfg.write_text(cfg.read_text().replace(f"output_dir = {out}",
+                                               f"output_dir = {out}/a\0b"))
+        assert main(["loss-curve", "--config", str(cfg), "--samples", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "output_dir holds a NUL byte" in err
+        assert not out.exists()
+
+    def test_dataset_that_is_a_directory_is_one(self, workspace, capsys):
+        assert main(["train", "--config", str(workspace["cfg"]),
+                     "--override", f"dataset={workspace['tmp']}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dataset is not a file" in err
+
     @pytest.mark.parametrize("argv", [["--version"], ["cv", "--help"]])
     def test_help_and_version_exit_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:

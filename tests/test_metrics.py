@@ -78,6 +78,12 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([], [0.5])
 
+    @pytest.mark.parametrize("pos,neg", [([np.nan, 0.3], [0.1, 0.5]),
+                                         ([0.3], [0.1, np.nan])])
+    def test_nan_score_rejected(self, pos, neg):
+        with pytest.raises(ValueError, match="NaN"):
+            auc(pos, neg)
+
     def test_complement_symmetry(self):
         rng = np.random.default_rng(1)
         pos = rng.random(30)

@@ -172,6 +172,32 @@ class TestAgainstPerModelTraining:
                    for h in tracked.history)
 
 
+class TestTracedNames:
+    """The benchmark's tracer times a training step by rebinding
+    `optimizer.forward`, `optimizer.loss_and_grad_vec`, `optimizer.backward`
+    and `optimizer.rmsprop_step`, and reads a forward pass's mode from its
+    third positional argument first. A step that stops calling one of these
+    names leaves the tracer's metrics for it empty."""
+
+    def test_each_step_calls_each_name_once(self, monkeypatch):
+        calls = {name: [] for name in ("forward", "loss_and_grad_vec", "backward",
+                                       "rmsprop_step")}
+        for name, log in calls.items():
+            def recording(*args, real=getattr(optimizer, name), log=log, **kwargs):
+                log.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(optimizer, name, recording)
+        Xs, ys = unequal_training_sets()
+        out = train_models([build_experiment_model(5, s) for s in (11, 12)], Xs[:2], ys[:2],
+                           LOSS, CONFIGS["rmsprop"], 1, BATCH,
+                           [np.random.default_rng(s) for s in (11, 12)])
+        assert all(type(r) is TrainResult for r in out)
+        steps = -(-max(len(y) for y in ys[:2]) // BATCH)
+        assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, steps)
+        assert all(len(args) > 2 and args[2] is Mode.TRAIN for args in calls["forward"])
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 class TestFailures:
