@@ -64,20 +64,21 @@ def _fit(build, cfg: ExperimentConfig, X, y, seed: int, **eval_data):
 # parameters each). While it trains, a stacked RMSprop model holds five arrays
 # of its parameters' size (its row of the stack, the accumulators, the
 # best-iterate snapshot, the gradient and one work array) plus its share of
-# one step's activations and dropout keep flags: 7.2 parameter-sized arrays
+# one step's activations and dropout keep flags: 7.6 parameter-sized arrays
 # in all at the tracemalloc peak of `train_models` (five sonar models, 187
-# rows, minibatches of 16). Each stacked model adds
-# about 0.45 MB to the peak memory of `xmargin cv` on sonar (39.2 MB one at
-# a time, 41.0 MB in stacks of five, 43.2 MB in stacks of ten).
+# rows, minibatches of 16). `xmargin cv` on sonar (repeats=1, epochs=50, run
+# in-process) peaks at 38.1-38.3 MB `VmHWM` one model at a time, 39.8-39.9 MB
+# in stacks of five and 42.2-42.4 MB in stacks of ten.
 STACK_PARAMS = 5 * 6657
 
 
 def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds):
-    """`_fit` for many (X, y, seed), in order: yields one TrainResult, or the
-    exception that model failed with, per seed. The models are trained in
-    stacks of at most STACK_PARAMS parameters, and each (X, y, seed) is read
-    when its stack is built, so neither the memory that training takes nor
-    the training data held at once grows with their number."""
+    """`_fit` for many (X, y, seed), in order: yields one TrainResult per
+    seed. The models are trained in stacks of at most STACK_PARAMS
+    parameters, and each (X, y, seed) is read when its stack is built, so
+    neither the memory that training takes nor the training data held at
+    once grows with their number. A stack that fails raises its error, which
+    names the model by its index in that stack, when the stack is reached."""
 
     def train(stack):
         models, part_Xs, part_ys, part_seeds = zip(*stack)
@@ -99,15 +100,13 @@ def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds):
 def _train_predictor_fn(cfg: ExperimentConfig):
     """A train_fn for repeated_cv: an iterator that trains the fixed
     experiment model for the cells a stack at a time as it is read, giving
-    their inference predictors (or the exception a cell failed with). Unlike
-    a generator expression, `map` holds no earlier result while the next
-    stack trains."""
-
-    def predictor(r):
-        return r if isinstance(r, Exception) else functools.partial(predict_proba, r.model)
+    their inference predictors; a stack that fails raises when it is read.
+    Unlike a generator expression, `map` holds no earlier result while the
+    next stack trains."""
 
     def train_fn(Xs, ys, cell_seeds):
-        return map(predictor, _fit_many(build_experiment_model, cfg, Xs, ys, cell_seeds))
+        return map(lambda r: functools.partial(predict_proba, r.model),
+                   _fit_many(build_experiment_model, cfg, Xs, ys, cell_seeds))
 
     return train_fn
 
@@ -269,12 +268,13 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
 def cmd_loss_curve(cfg: ExperimentConfig, y_true: int, samples: int) -> dict:
     if samples < 2:
         raise ConfigError("samples must be >= 2")
-    params = LossParams(cfg.lambda1, cfg.lambda2)  # Xtreme Margin, whatever loss_family is
+    params = cfg.loss_params()
     y = np.linspace(0.0, 1.0, samples)
-    write_csv(os.path.join(cfg.output_dir, "loss_curve.csv"),
-              ["y", "loss", "branch", "correct_case", "misclassified_case"],
-              [y, loss_and_grad_vec(y, y_true, params)[0],
-               [b.value for b in branches(y, y_true)], *pieces(y, y_true, params)[:2]])
+    header, columns = ["y", "loss"], [y, loss_and_grad_vec(y, y_true, params)[0]]
+    if params.family is LossFamily.XTREME_MARGIN:  # only it has branches and pieces
+        header += ["branch", "correct_case", "misclassified_case"]
+        columns += [[b.value for b in branches(y, y_true)], *pieces(y, y_true, params)[:2]]
+    write_csv(os.path.join(cfg.output_dir, "loss_curve.csv"), header, columns)
     return {
         "command": "loss_curve",
         "y_true": y_true,
@@ -313,13 +313,9 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
     for params in variants:
         variant_cfg = dataclasses.replace(cfg, loss_family=params.family,
                                           lambda1=params.lambda1, lambda2=params.lambda2)
-        preds = []
-        for result in _fit_many(build_experiment_model, variant_cfg, [Xtr] * ensemble_size,
-                                [ytr] * ensemble_size, seeds):
-            if isinstance(result, Exception):
-                raise result
-            preds.append(predict_proba(result.model, Xte))
-        preds = np.array(preds)
+        results = _fit_many(build_experiment_model, variant_cfg, [Xtr] * ensemble_size,
+                            [ytr] * ensemble_size, seeds)
+        preds = np.array([predict_proba(r.model, Xte) for r in results])
         if np.allclose(preds, preds[0], atol=0.0):
             warnings.append(f"degenerate ensemble for {params.family.value}: "
                             "all members produced identical predictions")

@@ -83,6 +83,8 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
     label_idx = label_column if label_column >= 0 else width + label_column
     if not (0 <= label_idx < width):
         raise LabelChoiceError(f"{path}: label column {label_column} outside row width {width}")
+    if width == 1:
+        raise IngestionError(f"{path}: rows hold only the label column, no features")
 
     raw_labels = []
     for i, row in enumerate(rows):
@@ -210,12 +212,12 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
     cell's training rows when they are read, so a ``train_fn`` that reads
     its cells a few at a time holds only those. It returns an iterable (a
     list, or an iterator that trains as it is read) with per cell a
-    predictor (callable X -> probability vector) or the exception the cell
-    failed with, and ``metric_fn(predictor, X, y)`` scores each held-out
-    fold as its predictor arrives, which is then let go. The first failed
-    cell in (repeat, fold) order is reported; an exception raised by
-    ``train_fn`` fails the cell whose predictor it was to give, the first
-    cell when raised by the call itself.
+    predictor (callable X -> probability vector), and
+    ``metric_fn(predictor, X, y)`` scores each held-out fold as its
+    predictor arrives, which is then let go. The first failed cell in
+    (repeat, fold) order is reported: an exception raised while reading the
+    iterable fails the cell whose predictor it was to give, the first cell
+    when raised by the call itself.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -248,8 +250,6 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
             if predictor is None:
                 raise ValueError(f"train_fn returned {len(flat)} predictors "
                                  f"for {len(cells)} cells")
-            if isinstance(predictor, Exception):
-                raise predictor
             flat.append(float(metric_fn(
                 predictor, apply_scaler(data.features[test_mask], scaling, stats),
                 data.labels[test_mask])))

@@ -163,13 +163,10 @@ def train(model: MlpModel, X: np.ndarray, y: np.ndarray, loss: LossParams,
           rng: np.random.Generator,
           eval_X: np.ndarray | None = None,
           eval_y: np.ndarray | None = None) -> TrainResult:
-    """Mini-batch training of one model: `train_models` with a single
-    model, raising the error it failed with."""
+    """Mini-batch training of one model: `train_models` with a single model."""
     evals = None if eval_X is None else [(eval_X, eval_y)]
     (out,) = train_models([model], [X], [y], loss, config, epochs, batch_size,
                           [rng], evals)
-    if isinstance(out, Exception):
-        raise out
     return out
 
 
@@ -177,7 +174,7 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                  config: OptimizerConfig, epochs: int, batch_size: int,
                  rngs: list[np.random.Generator],
                  evals: list[tuple[np.ndarray, np.ndarray]] | None = None
-                 ) -> list[TrainResult | Exception]:
+                 ) -> list[TrainResult]:
     """Mini-batch training of models of one architecture as one stack.
 
     Model b trains on (Xs[b], ys[b]). Each epoch its generator rngs[b]
@@ -191,12 +188,15 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     with fewer training rows pad their last minibatch with zero-weight rows
     and sit out a step in which they have no rows left.
 
-    A model whose input, loss or gradient is non-finite stops training and
-    its entry in the returned list is that error; it keeps the parameters it
-    had then. Every other entry is a TrainResult whose model is a row of the
-    stack's best-iterate snapshot. The input models end as the final
-    iterates: their parameters are rows of the stack's (B, P) array, and
-    their own buffers are let go when training starts.
+    The stack fails as a whole. A model's bad input raises ValueError before
+    any training; a non-finite minibatch loss (FloatingPointError) or
+    gradient (ValueError) raises before the step, so no model takes it. The
+    error names the model by its index in `models`, the lowest one when
+    several fail on one step, a loss before a gradient of the same model.
+    Each returned TrainResult's model is a row of the stack's best-iterate
+    snapshot. The input models end as the final iterates, or as the last
+    iterates before a failed step: their parameters are rows of the stack's
+    (B, P) array, and their own buffers are let go when training starts.
     With `evals` (one (X, y) per model) each epoch records accuracies.
     """
     if epochs < 1:
@@ -209,61 +209,46 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     ys = [np.asarray(y, dtype=float) for y in ys]
     d = models[0].input_dim
-    outcomes: list = [None] * n_models
-    for b, X in enumerate(Xs):
+    for b, (X, y) in enumerate(zip(Xs, ys)):
         if X.ndim != 2 or X.shape[0] == 0:
-            outcomes[b] = ValueError("training data must be non-empty")
-        elif X.shape[1] != d:
-            outcomes[b] = ValueError(f"input dim {X.shape[1]} != model input dim {d}")
-        elif len(ys[b]) != X.shape[0]:
-            outcomes[b] = ValueError("training labels do not match training rows")
-        elif not np.isfinite(X).all():
-            outcomes[b] = ValueError("non-finite input")
-    alive = np.array([o is None for o in outcomes])
-    if not alive.any():
-        return outcomes
+            raise ValueError(f"model {b}: training data must be non-empty")
+        if X.shape[1] != d:
+            raise ValueError(f"model {b}: input dim {X.shape[1]} != model input dim {d}")
+        if len(y) != X.shape[0]:
+            raise ValueError(f"model {b}: training labels do not match training rows")
+        if not np.isfinite(X).all():
+            raise ValueError(f"model {b}: non-finite input")
 
     stack = MlpModel.stack(models)
-    for b in np.flatnonzero(alive):
-        models[b].bind(stack.flat[b])
+    for b, model in enumerate(models):
+        model.bind(stack.flat[b])
     state = TrainState(model=stack, config=config)
     grads = None  # every step's gradient goes into the first step's arrays
     # read from the module's names on each call, so a rebinding of them is
     # seen; the step overwrites the gradient, and the next backward refills it
     step = subgradient_step if config.method is Method.SUBGRADIENT else rmsprop_step
-    n = np.array([X.shape[0] if ok else 0 for X, ok in zip(Xs, alive)])
+    n = np.array([X.shape[0] for X in Xs])
     n_steps = -(-int(n.max()) // batch_size)
     span = n_steps * batch_size
     batches = -(-n // batch_size)  # minibatches per epoch, per model
-    # real rows of each model in each step
+    # real rows of each model in each step; the longest model fills every step
     counts = np.clip(n[:, None] - batch_size * np.arange(n_steps), 0, batch_size)
+    step_rows = counts.T.tolist()
     keep = dropout_keep(stack)
     # each epoch's dropout keep flags, drawn per model right after its shuffle;
     # a padding row's flags are never drawn, and its zero weight voids them
     kept = np.zeros((n_models, span, keep.size), dtype=bool)
 
-    step_rows = counts.T.tolist()  # per step, each model's real rows
-
-    def fail(b: int, exc: Exception) -> None:
-        outcomes[b] = exc
-        alive[b] = False
-        counts[b] = 0
-        step_rows[:] = counts.T.tolist()
-        models[b].bind(stack.flat[b].copy())
-        stack.flat[b] = 0.0  # keeps the dead model's rows finite from here on
-
     history = [[] for _ in range(n_models)]
     losses = np.empty((n_models, n_steps))
     for epoch in range(1, epochs + 1):
         order = np.empty((n_models, span), dtype=int)
-        for b in np.flatnonzero(alive):
+        for b in range(n_models):
             order[b, :n[b]] = rngs[b].permutation(n[b])
             np.less(rngs[b].random((n[b], keep.size)), keep, out=kept[b, :n[b]])
 
         for s, per_model in enumerate(step_rows):
             width = max(per_model)
-            if width == 0:
-                continue
             lo = s * batch_size
             # each model's rows, gathered from its own matrix; padding is 0
             xb = np.zeros((n_models, width, d))
@@ -290,14 +275,12 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                 finite = np.isfinite(grads.flat).all(axis=-1)
                 for b in np.flatnonzero(cnt > 0):
                     if not math.isfinite(batch_mean[b]):
-                        fail(b, FloatingPointError(
-                            f"non-finite training loss at epoch {epoch}, "
-                            f"step {(epoch - 1) * batches[b] + s}"))
-                    elif not finite[b]:
-                        fail(b, ValueError("non-finite gradient; step rejected"))
-                if not alive.any():
-                    return outcomes
-            rows = cnt > 0  # the models taking this step (`fail` zeroes a count)
+                        raise FloatingPointError(
+                            f"model {b}: non-finite training loss at epoch {epoch}, "
+                            f"step {(epoch - 1) * batches[b] + s}")
+                    if not finite[b]:
+                        raise ValueError(f"model {b}: non-finite gradient; step rejected")
+            rows = cnt > 0  # the models taking this step
             held = None
             if not rows.all():
                 # a model sitting out scores no loss (its history reads only
@@ -314,7 +297,7 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                 state.accumulators[~rows] = held
             losses[:, s] = batch_mean
 
-        for b in np.flatnonzero(alive):
+        for b in range(n_models):
             train_acc = eval_acc = float("nan")
             if evals is not None:
                 train_acc, eval_acc = (accuracy(predict_proba(models[b], X) >= 0.5, y)
@@ -322,10 +305,10 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
             history[b].append(EpochRecord(epoch, float(losses[b, :batches[b]].mean()),
                                           train_acc, eval_acc))
 
-    # every model still alive took a first step with a finite loss, so the
-    # snapshot exists
-    for b in np.flatnonzero(alive):
-        best = models[b].copy()
+    # every model took a first step with a finite loss, so the snapshot exists
+    results = []
+    for b, model in enumerate(models):
+        best = model.copy()
         best.bind(state.best_params[b])
-        outcomes[b] = TrainResult(model=best, history=history[b])
-    return outcomes
+        results.append(TrainResult(model=best, history=history[b]))
+    return results

@@ -374,6 +374,14 @@ class TestExitCodes:
         assert main(["cv", "--config", str(workspace["cfg"])]) == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_dataset_of_only_a_label_column_is_a_runtime_failure(self, workspace, capsys):
+        data = workspace["data"]
+        data.write_text("".join(line.rsplit(",", 1)[1]
+                                for line in data.read_text().splitlines(keepends=True)))
+        assert main(["train", "--config", str(workspace["cfg"])]) == 2
+        assert (capsys.readouterr().err
+                == f"runtime failure: {data}: rows hold only the label column, no features\n")
+
     # each class of the toy data has 20 members; label column 0 holds features
     @pytest.mark.parametrize("argv,message", [
         (["train", "--override", "label_column=0"], "exactly two classes in label column 0"),
@@ -554,6 +562,15 @@ class TestLossCurveCommand:
                      "--override", "lambda2=0", "--samples", "21"]) == 0
         rows = self.read_rows(workspace["out"])
         assert {r[3] for r in rows} == {"1.0"}
+
+    @pytest.mark.parametrize("family,at_half", [("bce", math.log(2.0)), ("hinge", 1.0)])
+    def test_other_families_draw_their_own_loss(self, workspace, family, at_half):
+        assert main(["loss-curve", "--config", str(workspace["cfg"]), "--y-true", "1",
+                     "--override", f"loss_family={family}", "--samples", "3"]) == 0
+        text = (workspace["out"] / "loss_curve.csv").read_text()
+        assert text.splitlines()[0] == "y,loss"  # the branch columns are Xtreme Margin's
+        y, loss = self.read_rows(workspace["out"])[1]
+        assert float(y) == 0.5 and abs(float(loss) - at_half) < 1e-12
 
 
 class TestBiasCommand:

@@ -99,8 +99,7 @@ def stacked_fn(config, sabotage_seed=None):
                 m.layers[0].weights[...] = 1e308
         results = train_models(models, Xs, ys, LOSS, config, EPOCHS, BATCH,
                                [np.random.default_rng(s) for s in seeds])
-        return [r if isinstance(r, Exception) else functools.partial(predict_proba, r.model)
-                for r in results]
+        return [functools.partial(predict_proba, r.model) for r in results]
 
     return fn
 
@@ -201,21 +200,8 @@ class TestTracedNames:
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 class TestFailures:
-    def test_failed_model_leaves_the_others_untouched(self):
-        Xs, ys = unequal_training_sets()
-        seeds = [11, 12, 13]
-        models = [build_experiment_model(5, s) for s in seeds]
-        models[1].layers[0].weights[...] = 1e308
-        Xs[1] = np.abs(Xs[1]) + 1.0
-        out = train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
-                           [np.random.default_rng(s) for s in seeds])
-        assert isinstance(out[1], FloatingPointError)
-        assert "non-finite training loss at epoch 1, step 0" in str(out[1])
-        for b in (0, 2):
-            best, _, _ = train_one(build_experiment_model(5, seeds[b]), Xs[b], ys[b],
-                                   LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
-                                   np.random.default_rng(seeds[b]))
-            assert np.max(np.abs(out[b].model.flat - best.flat)) <= 1e-12
+    """A stack fails as a whole: the first failure is raised, naming the
+    model by its index in the call, and no model takes the failed step."""
 
     def test_failed_model_keeps_its_parameters(self):
         Xs, ys = unequal_training_sets()
@@ -223,45 +209,37 @@ class TestFailures:
         models = [build_experiment_model(5, s) for s in seeds]
         models[1].layers[0].weights[...] = 1e308
         Xs[1] = np.abs(Xs[1]) + 1.0
-        before = models[1].flat.copy()
-        out = train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
-                           [np.random.default_rng(s) for s in seeds])
-        assert isinstance(out[1], FloatingPointError)
-        assert np.array_equal(models[1].flat, before)
-        for b in (0, 2):
-            assert not np.shares_memory(models[1].flat, models[b].flat)
+        before = [m.flat.copy() for m in models]
+        with pytest.raises(FloatingPointError,
+                           match=r"^model 1: non-finite training loss at epoch 1, step 0$"):
+            train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
+                         [np.random.default_rng(s) for s in seeds])
+        # the first step failed, so no model took a step
+        for m, flat in zip(models, before):
+            assert np.array_equal(m.flat, flat)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_non_finite_gradient_fails_its_model_only(self, monkeypatch, name):
+    def test_non_finite_gradient_fails_the_stack_before_its_step(self, monkeypatch, name):
         Xs, ys = unequal_training_sets()
         seeds = [11, 12, 13]
-
-        def run():
-            models = [build_experiment_model(5, s) for s in seeds]
-            return models, train_models(models, Xs, ys, LOSS, CONFIGS[name], EPOCHS,
-                                        BATCH, [np.random.default_rng(s) for s in seeds])
-
-        clean_models, clean = run()
         before = []
 
         def poisoned(trace, model, dvals, out=None):
             # model 1's gradient turns NaN at the fourth step; its loss does not
             grads = backward(trace, model, dvals, out=out)
-            before.append(model.flat[1].copy())
+            before.append(model.flat.copy())
             if len(before) == 4:
                 grads.flat[1, 0] = np.nan
             return grads
 
         monkeypatch.setattr(optimizer, "backward", poisoned)
-        models, out = run()
-        assert type(out[1]) is ValueError
-        assert str(out[1]) == "non-finite gradient; step rejected"
-        assert np.array_equal(models[1].flat, before[3])
-        for b in (0, 2):
-            assert np.array_equal(out[b].model.flat, clean[b].model.flat)
-            assert np.array_equal(models[b].flat, clean_models[b].flat)
-            assert ([h.train_loss for h in out[b].history]
-                    == [h.train_loss for h in clean[b].history])
+        models = [build_experiment_model(5, s) for s in seeds]
+        with pytest.raises(ValueError, match=r"^model 1: non-finite gradient; step rejected$"):
+            train_models(models, Xs, ys, LOSS, CONFIGS[name], EPOCHS, BATCH,
+                         [np.random.default_rng(s) for s in seeds])
+        # three steps were taken, and no row of the stack took the fourth
+        assert not np.array_equal(before[3], before[0])
+        assert np.array_equal(np.stack([m.flat for m in models]), before[3])
 
     @staticmethod
     def poisoned_run(monkeypatch, poison):
@@ -291,59 +269,51 @@ class TestFailures:
         assert all(type(o) is TrainResult for o in out)
         assert all(np.isfinite(m.flat).all() for m in models)
 
-    def test_infinities_of_both_signs_fail_exactly_their_models(self, monkeypatch):
+    def test_infinities_in_two_models_name_the_first(self, monkeypatch):
         def poison(g):
             g[0, 0], g[2, 0] = np.inf, -np.inf
 
-        _, out = self.poisoned_run(monkeypatch, poison)
-        for b in (0, 2):
-            assert type(out[b]) is ValueError
-            assert str(out[b]) == "non-finite gradient; step rejected"
-        assert type(out[1]) is TrainResult
+        with pytest.raises(ValueError, match=r"^model 0: non-finite gradient"):
+            self.poisoned_run(monkeypatch, poison)
 
-    def test_a_stack_whose_models_all_fail_returns_only_errors(self):
-        Xs, ys = unequal_training_sets()
-        Xs = [X.copy() for X in Xs]
-        Xs[0][0, 0] = np.nan
-        Xs[1] = np.abs(Xs[1]) + 1.0
-        Xs[2] = np.abs(Xs[2]) + 1.0
-        models = [build_experiment_model(5, s) for s in range(3)]
-        for m in models[1:]:
-            m.layers[0].weights[...] = 1e308
-        out = train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
-                           [np.random.default_rng(s) for s in range(3)])
-        assert "non-finite input" in str(out[0])
-        assert all(isinstance(o, FloatingPointError) for o in out[1:])
+    def test_a_bad_input_fails_before_any_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a bad input")
 
-    def test_bad_inputs_fail_their_model_only(self):
+        monkeypatch.setattr(optimizer, "forward", no_training)
         Xs, ys = unequal_training_sets()
-        Xs[0] = Xs[0].copy()
-        Xs[0][0, 0] = np.nan
-        Xs[2] = Xs[2][:0]
-        out = train_models([build_boundary_model(5, s) for s in range(3)], Xs, ys,
-                           LOSS, CONFIGS["rmsprop"], 1, BATCH,
-                           [np.random.default_rng(s) for s in range(3)])
-        assert "non-finite input" in str(out[0])
-        assert "non-empty" in str(out[2])
-        assert np.isfinite(out[1].model.flat).all()
+        Xs[2] = Xs[2].copy()
+        Xs[2][0, 0] = np.nan
+        models = [build_boundary_model(5, s) for s in range(3)]
+        before = [m.flat.copy() for m in models]
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        with pytest.raises(ValueError, match=r"^model 2: non-finite input$"):
+            train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], 1, BATCH, rngs)
+        Xs[1] = Xs[1][:0]
+        with pytest.raises(ValueError, match=r"^model 1: training data must be non-empty$"):
+            train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], 1, BATCH, rngs)
+        for m, flat in zip(models, before):
+            assert np.array_equal(m.flat, flat)
 
     def test_stacked_cell_failure_names_its_cell(self):
         data = thirteen_rows()
-        # cell (repeat 1, fold 0) has seed (3 ^ 1) * 1000 + 0
-        with pytest.raises(RuntimeError, match=r"^CV cell failed at repeat 1, fold 0: "
-                                               r"non-finite training loss"):
+        # the call trains all six cells as one stack, so the failure is the
+        # first cell's; cell (repeat 1, fold 0), seed (3 ^ 1) * 1000 + 0, is
+        # model 3 of the stack
+        with pytest.raises(RuntimeError, match=r"^CV cell failed at repeat 0, fold 0: "
+                                               r"model 3: non-finite training loss"):
             repeated_cv(data, 3, 2, stacked_fn(CONFIGS["rmsprop"], sabotage_seed=2000),
                         accuracy_metric, seed=3)
 
     def test_first_failed_cell_in_order_is_reported(self):
         data = thirteen_rows()
-        failing_training = {2001, 3002}   # cells (1, 1) and (0, 2)
-        failing_metric = {3001}           # cell (0, 1)
+        failing_metric = {3001}  # cell (0, 1)
 
         def train_fn(Xs, ys, seeds):
-            return [ValueError(f"training {s}") if s in failing_training
-                    else functools.partial(lambda s, X: np.full(len(X), 0.7), s)
-                    for s in seeds]
+            for s in seeds:
+                if s == 3002:  # cell (0, 2)
+                    raise ValueError(f"training {s}")
+                yield functools.partial(lambda s, X: np.full(len(X), 0.7), s)
 
         def metric(predictor, X, y):
             if predictor.args[0] in failing_metric:
