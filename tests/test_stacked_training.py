@@ -276,7 +276,47 @@ class TestFailures:
         with pytest.raises(ValueError, match=r"^model 0: non-finite gradient"):
             self.poisoned_run(monkeypatch, poison)
 
-    def test_a_bad_input_fails_before_any_training(self, monkeypatch):
+    def test_failed_model_leaves_the_others_untouched(self):
+        Xs, ys = unequal_training_sets()
+        seeds = [11, 12, 13]
+        models = [build_experiment_model(5, s) for s in seeds]
+        models[1].layers[0].weights[...] = 1e308
+        Xs[1] = np.abs(Xs[1]) + 1.0
+        with pytest.raises(FloatingPointError, match=r"^model 1: "):
+            train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
+                         [np.random.default_rng(s) for s in seeds])
+        # the others kept their initial parameters, so trained again without
+        # model 1 they match models trained alone
+        out = train_models([models[0], models[2]], [Xs[0], Xs[2]], [ys[0], ys[2]],
+                           LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
+                           [np.random.default_rng(seeds[b]) for b in (0, 2)])
+        for r, b in zip(out, (0, 2)):
+            best, _, _ = train_one(build_experiment_model(5, seeds[b]), Xs[b], ys[b],
+                                   LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH,
+                                   np.random.default_rng(seeds[b]))
+            assert np.max(np.abs(r.model.flat - best.flat)) <= 1e-12
+
+    def test_a_stack_whose_models_all_fail_returns_only_errors(self):
+        Xs, ys = unequal_training_sets()
+        Xs = [X.copy() for X in Xs]
+        Xs[0][0, 0] = np.nan
+        Xs[1] = np.abs(Xs[1]) + 1.0
+        Xs[2] = np.abs(Xs[2]) + 1.0
+        models = [build_experiment_model(5, s) for s in range(3)]
+        for m in models[1:]:
+            m.layers[0].weights[...] = 1e308
+        before = [m.flat.copy() for m in models]
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        # a bad input fails first, before training finds the overflows
+        with pytest.raises(ValueError, match=r"^model 0: non-finite input$"):
+            train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH, rngs)
+        Xs[0][0, 0] = 0.0
+        with pytest.raises(FloatingPointError, match=r"^model 1: non-finite training loss"):
+            train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS, BATCH, rngs)
+        for m, flat in zip(models, before):
+            assert np.array_equal(m.flat, flat)
+
+    def test_bad_inputs_fail_their_model_only(self, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("trained on a bad input")
 
