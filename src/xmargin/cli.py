@@ -242,15 +242,17 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
     pad = 0.1 * (hi - lo)
     g1 = np.linspace(lo[0] - pad[0], hi[0] + pad[0], resolution)
     g2 = np.linspace(lo[1] - pad[1], hi[1] + pad[1], resolution)
+    # scaling is elementwise per column, so scaling the two axes and then
+    # crossing them gives the scaled grid bit for bit;
     # row i * resolution + j of the grid is (g1[j], g2[i])
-    grid = np.column_stack([g.ravel() for g in np.meshgrid(g1, g2)])
-    probs = predict_proba(result.model, apply_scaler(grid, cfg.scaling, stats))
-    del grid  # not held while the CSV is written
+    s1, s2 = apply_scaler(np.column_stack([g1, g2]), cfg.scaling, stats).T
+    probs = predict_proba(result.model,
+                          np.column_stack([g.ravel() for g in np.meshgrid(s1, s2)]))
     steps = np.arange(resolution)
     write_csv(os.path.join(cfg.output_dir, "boundary_grid.csv"),
               ["x1", "x2", "probability", "hard_label"],
               [Indexed(g1, np.tile(steps, resolution)), Indexed(g2, np.repeat(steps, resolution)),
-               probs, (probs >= 0.5).astype(np.int64)])
+               probs, Indexed(np.arange(2), (probs >= 0.5).view(np.uint8))])
     write_csv(os.path.join(cfg.output_dir, "boundary_points.csv"),
               ["x1", "x2", "label"], [feats[:, 0], feats[:, 1], data.labels])
     return {
@@ -271,7 +273,8 @@ def cmd_loss_curve(cfg: ExperimentConfig, y_true: int, samples: int) -> dict:
     params = cfg.loss_params()
     y = np.linspace(0.0, 1.0, samples)
     header, columns = ["y", "loss"], [y, loss_and_grad_vec(y, y_true, params)[0]]
-    if params.family is LossFamily.XTREME_MARGIN:  # only it has branches and pieces
+    xm = params.family is LossFamily.XTREME_MARGIN  # only it has λ, branches and pieces
+    if xm:
         header += ["branch", "correct_case", "misclassified_case"]
         columns += [[b.value for b in branches(y, y_true)], *pieces(y, y_true, params)[:2]]
     write_csv(os.path.join(cfg.output_dir, "loss_curve.csv"), header, columns)
@@ -279,7 +282,7 @@ def cmd_loss_curve(cfg: ExperimentConfig, y_true: int, samples: int) -> dict:
         "command": "loss_curve",
         "y_true": y_true,
         "samples": samples,
-        "lambda_active": params.lambda1 if y_true == 0 else params.lambda2,
+        "lambda_active": (params.lambda1 if y_true == 0 else params.lambda2) if xm else "N/A",
         "curve_file": "loss_curve.csv",
     }
 

@@ -241,69 +241,72 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
 
     history = [[] for _ in range(n_models)]
     losses = np.empty((n_models, n_steps))
-    for epoch in range(1, epochs + 1):
-        order = np.empty((n_models, span), dtype=int)
-        for b in range(n_models):
-            order[b, :n[b]] = rngs[b].permutation(n[b])
-            np.less(rngs[b].random((n[b], keep.size)), keep, out=kept[b, :n[b]])
+    # an overflowing model is reported once, by the checks below, not also
+    # by numpy warnings from the arithmetic that produced its inf or nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, epochs + 1):
+            order = np.empty((n_models, span), dtype=int)
+            for b in range(n_models):
+                order[b, :n[b]] = rngs[b].permutation(n[b])
+                np.less(rngs[b].random((n[b], keep.size)), keep, out=kept[b, :n[b]])
 
-        for s, per_model in enumerate(step_rows):
-            width = max(per_model)
-            lo = s * batch_size
-            # each model's rows, gathered from its own matrix; padding is 0
-            xb = np.zeros((n_models, width, d))
-            yb = np.zeros((n_models, width))
-            for b, rows_b in enumerate(per_model):
-                if rows_b:
-                    idx = order[b, lo:lo + rows_b]
-                    Xs[b].take(idx, axis=0, out=xb[b, :rows_b])
-                    ys[b].take(idx, out=yb[b, :rows_b])
-            trace = forward(stack, xb, Mode.TRAIN, kept=kept[:, lo:lo + width])
-            vals, dvals = loss_and_grad_vec(trace.output, yb, loss)
-            cnt = counts[:, s]
-            if min(per_model) < width:
-                # padding rows weigh 0; each model's mean is over its real rows
-                real = np.arange(width) < cnt[:, None]
-                vals = np.where(real, vals, 0.0)
-                dvals = np.where(real, dvals, 0.0)
-            used = np.maximum(cnt, 1)
-            batch_mean = vals.sum(axis=-1) / used
-            dvals /= used[:, None]
-            grads = backward(trace, stack, dvals, out=grads)
-            # losses are bounded, so their sum is finite exactly when each is
-            if not (np.isfinite(grads.flat).all() and math.isfinite(batch_mean.sum())):
-                finite = np.isfinite(grads.flat).all(axis=-1)
-                for b in np.flatnonzero(cnt > 0):
-                    if not math.isfinite(batch_mean[b]):
-                        raise FloatingPointError(
-                            f"model {b}: non-finite training loss at epoch {epoch}, "
-                            f"step {(epoch - 1) * batches[b] + s}")
-                    if not finite[b]:
-                        raise ValueError(f"model {b}: non-finite gradient; step rejected")
-            rows = cnt > 0  # the models taking this step
-            held = None
-            if not rows.all():
-                # a model sitting out scores no loss (its history reads only
-                # the steps it took) and keeps its parameters; RMSprop
-                # accumulators would still decay, so they are put back
-                batch_mean[~rows] = np.inf
-                grads.flat[~rows] = 0.0
-                if state.accumulators is not None:
-                    held = state.accumulators[~rows]
-            # the snapshot pairs each loss with the parameters that scored it
-            state.note_loss(batch_mean)
-            step(state, grads.flat)
-            if held is not None:
-                state.accumulators[~rows] = held
-            losses[:, s] = batch_mean
+            for s, per_model in enumerate(step_rows):
+                width = max(per_model)
+                lo = s * batch_size
+                # each model's rows, gathered from its own matrix; padding is 0
+                xb = np.zeros((n_models, width, d))
+                yb = np.zeros((n_models, width))
+                for b, rows_b in enumerate(per_model):
+                    if rows_b:
+                        idx = order[b, lo:lo + rows_b]
+                        Xs[b].take(idx, axis=0, out=xb[b, :rows_b])
+                        ys[b].take(idx, out=yb[b, :rows_b])
+                trace = forward(stack, xb, Mode.TRAIN, kept=kept[:, lo:lo + width])
+                vals, dvals = loss_and_grad_vec(trace.output, yb, loss)
+                cnt = counts[:, s]
+                if min(per_model) < width:
+                    # padding rows weigh 0; each model's mean is over its real rows
+                    real = np.arange(width) < cnt[:, None]
+                    vals = np.where(real, vals, 0.0)
+                    dvals = np.where(real, dvals, 0.0)
+                used = np.maximum(cnt, 1)
+                batch_mean = vals.sum(axis=-1) / used
+                dvals /= used[:, None]
+                grads = backward(trace, stack, dvals, out=grads)
+                # losses are bounded, so their sum is finite exactly when each is
+                if not (np.isfinite(grads.flat).all() and math.isfinite(batch_mean.sum())):
+                    finite = np.isfinite(grads.flat).all(axis=-1)
+                    for b in np.flatnonzero(cnt > 0):
+                        if not math.isfinite(batch_mean[b]):
+                            raise FloatingPointError(
+                                f"model {b}: non-finite training loss at epoch {epoch}, "
+                                f"step {(epoch - 1) * batches[b] + s}")
+                        if not finite[b]:
+                            raise ValueError(f"model {b}: non-finite gradient; step rejected")
+                rows = cnt > 0  # the models taking this step
+                held = None
+                if not rows.all():
+                    # a model sitting out scores no loss (its history reads only
+                    # the steps it took) and keeps its parameters; RMSprop
+                    # accumulators would still decay, so they are put back
+                    batch_mean[~rows] = np.inf
+                    grads.flat[~rows] = 0.0
+                    if state.accumulators is not None:
+                        held = state.accumulators[~rows]
+                # the snapshot pairs each loss with the parameters that scored it
+                state.note_loss(batch_mean)
+                step(state, grads.flat)
+                if held is not None:
+                    state.accumulators[~rows] = held
+                losses[:, s] = batch_mean
 
-        for b in range(n_models):
-            train_acc = eval_acc = float("nan")
-            if evals is not None:
-                train_acc, eval_acc = (accuracy(predict_proba(models[b], X) >= 0.5, y)
-                                       for X, y in ((Xs[b], ys[b]), evals[b]))
-            history[b].append(EpochRecord(epoch, float(losses[b, :batches[b]].mean()),
-                                          train_acc, eval_acc))
+            for b in range(n_models):
+                train_acc = eval_acc = float("nan")
+                if evals is not None:
+                    train_acc, eval_acc = (accuracy(predict_proba(models[b], X) >= 0.5, y)
+                                           for X, y in ((Xs[b], ys[b]), evals[b]))
+                history[b].append(EpochRecord(epoch, float(losses[b, :batches[b]].mean()),
+                                              train_acc, eval_acc))
 
     # every model took a first step with a finite loss, so the snapshot exists
     results = []

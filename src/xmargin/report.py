@@ -5,7 +5,9 @@ for a fixed config and seed; wall-clock timing goes to a separate meta
 file that is excluded from determinism comparisons. All files are written
 atomically (write to a temp name, then rename) as UTF-8, whatever the
 locale. CSV tables are written from columns, a block of rows at a time;
-a column given as `Indexed` formats each of its values once.
+a column given as `Indexed` formats each of its values once into a numpy
+object array, and each block's cells are gathered from it in one indexing
+step, so no per-cell Python call is made for such a column.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def write_report(path: str, sections: dict) -> None:
 class Indexed:
     """The column `values[index]`: each of `values` is formatted once and its
     string repeated, as for a grid axis that tiles a few hundred values over
-    many rows."""
+    many rows, or a 0/1 label indexed by its own mask. `index` is an integer
+    array; a bool mask is passed as its uint8 view."""
     values: np.ndarray
     index: np.ndarray
 
@@ -99,7 +102,8 @@ def write_csv(path: str, header: list[str], columns) -> None:
     """Rectangular CSV with a header row, from one column (a numpy array, a
     list or an `Indexed`) per header name; floats serialized with repr so
     identical runs emit identical bytes. Rows are formatted and written in
-    blocks of 4096; an `Indexed` column's strings are gathered per block."""
+    blocks of 4096. An `Indexed` column's strings are formatted once into an
+    object array; each block takes its cells as `strings[index block]`."""
     lengths = [len(col) for col in columns]
     if len(lengths) != len(header) or len(set(lengths)) > 1:
         raise ValueError(f"ragged columns: {len(header)} names, lengths {lengths}")
@@ -108,8 +112,8 @@ def write_csv(path: str, header: list[str], columns) -> None:
     def block_cells(col):
         """lo -> the cells of rows lo .. lo + block of `col`."""
         if isinstance(col, Indexed):
-            strings = list(_cells(col.values))
-            return lambda lo: map(strings.__getitem__, col.index[lo:lo + block].tolist())
+            strings = np.array(list(_cells(col.values)), dtype=object)
+            return lambda lo: strings[col.index[lo:lo + block]].tolist()
         return lambda lo: _cells(col[lo:lo + block])
 
     cells = [block_cells(col) for col in columns]

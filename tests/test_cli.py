@@ -13,6 +13,7 @@ import xmargin
 from xmargin.cli import main, parse_variant
 from xmargin.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text, validate)
+from xmargin.data_pipeline import Scaling, apply_scaler, fit_scaler
 from xmargin.loss_core import LossFamily
 from xmargin.report import (Indexed, _fmt, atomic_write, render_report, write_csv,
                             write_report)
@@ -229,13 +230,17 @@ class TestColumnWriter:
     @pytest.mark.parametrize("n", [0, 4095, 4096, 4097, 2 * 4096 + 1])
     def test_grid_axes_across_block_edges(self, tmp_path, n):
         # the first n rows of a 600x600 boundary grid: x1 tiles a 600-value
-        # axis, x2 repeats each value of another
+        # axis, x2 repeats each value of another, and the hard label is
+        # indexed by its own mask
         steps = np.arange(600)
         g1, g2 = np.linspace(-2.7, 3.1, 600), np.linspace(0.4, 9.0, 600)
         x1, x2 = (g.ravel()[:n] for g in np.meshgrid(g1, g2))
-        columns = [Indexed(g1, np.tile(steps, 600)[:n]), Indexed(g2, np.repeat(steps, 600)[:n])]
-        assert (written(tmp_path / "t.csv", ["x1", "x2"], columns)
-                == row_csv(["x1", "x2"], zip(x1, x2)))
+        mask = np.random.default_rng(n).random(n) >= 0.5
+        columns = [Indexed(g1, np.tile(steps, 600)[:n]), Indexed(g2, np.repeat(steps, 600)[:n]),
+                   Indexed(np.arange(2), mask.view(np.uint8))]
+        header = ["x1", "x2", "hard_label"]
+        assert (written(tmp_path / "t.csv", header, columns)
+                == row_csv(header, zip(x1, x2, mask.astype(np.int64))))
 
     def test_memory_is_bounded_by_a_block(self, tmp_path):
         n = 100_000
@@ -374,6 +379,19 @@ class TestExitCodes:
         assert main(["cv", "--config", str(workspace["cfg"])]) == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_overflowing_stack_fails_with_one_stderr_line(self, workspace):
+        # numpy's overflow warnings would repeat the failure the run reports
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "xmargin.cli", "cv",
+                               "--config", str(workspace["cfg"]), "--override", "alpha=1e308",
+                               "--override", "repeats=1", "--override", "epochs=1"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("runtime failure: CV cell failed at repeat 0, fold 0: "
+                                      "model 0: non-finite training loss at epoch 1, step ")
+
     def test_dataset_of_only_a_label_column_is_a_runtime_failure(self, workspace, capsys):
         data = workspace["data"]
         data.write_text("".join(line.rsplit(",", 1)[1]
@@ -510,20 +528,36 @@ class TestBoundaryCommand:
         assert x1 == x1[:resolution] * resolution
         assert x2 == tuple(v for v in x2[::resolution] for _ in range(resolution))
         assert len(set(x1)) == len(set(x2)) == resolution
+        for r in rows:
+            _, _, prob, hard = r.split(",")
+            assert 0.0 <= float(prob) <= 1.0
+            assert hard == ("1" if float(prob) >= 0.5 else "0")
         return rows
 
     def test_grid_rows_and_probabilities(self, workspace):
         rows = self.grid_rows(workspace, 5)
         assert len(rows) == 25
-        for r in rows:
-            x1, x2, prob, hard = r.split(",")
-            assert 0.0 <= float(prob) <= 1.0
-            assert int(hard) == (1 if float(prob) >= 0.5 else 0)
         pts = (workspace["out"] / "boundary_points.csv").read_text().splitlines()
         assert len(pts) == 1 + 40
 
     def test_grid_order_across_row_blocks(self, workspace):
-        assert len(self.grid_rows(workspace, 65)) == 65 ** 2
+        # 4225 rows: a full 4096-row block and a ragged last one, with both labels
+        rows = self.grid_rows(workspace, 65)
+        assert len(rows) == 65 ** 2
+        assert {r.rsplit(",", 1)[1] for r in rows} == {"0", "1"}
+
+    @pytest.mark.parametrize("scaling", list(Scaling), ids=lambda s: s.value)
+    def test_scaled_axes_give_the_scaled_grid(self, scaling):
+        # scaling is elementwise per column, so crossing the scaled axes
+        # equals scaling the crossed grid bit for bit
+        rng = np.random.default_rng(3)
+        feats = rng.normal(size=(50, 2)) * [3.0, 0.01] + [7.0, -2.0]
+        stats = fit_scaler(feats, scaling, np.arange(50))
+        g1, g2 = np.linspace(-2.3, 17.9, 101), np.linspace(-2.05, -1.9, 101)
+        grid = np.column_stack([g.ravel() for g in np.meshgrid(g1, g2)])
+        s1, s2 = apply_scaler(np.column_stack([g1, g2]), scaling, stats).T
+        crossed = np.column_stack([g.ravel() for g in np.meshgrid(s1, s2)])
+        assert crossed.tobytes() == apply_scaler(grid, scaling, stats).tobytes()
 
     def test_constant_feature_rejected(self, workspace, capsys):
         path = workspace["tmp"] / "const.csv"
@@ -556,6 +590,7 @@ class TestLossCurveCommand:
         for r in rows:
             y = float(r[0])
             assert abs(float(r[4]) - math.exp(abs(1 - y))) < 1e-12
+        assert "\n  lambda_active: 1.0\n" in (workspace["out"] / "report.txt").read_text()
 
     def test_lambda_zero_correct_piece_is_flat(self, workspace):
         assert main(["loss-curve", "--config", str(workspace["cfg"]),
@@ -571,6 +606,8 @@ class TestLossCurveCommand:
         assert text.splitlines()[0] == "y,loss"  # the branch columns are Xtreme Margin's
         y, loss = self.read_rows(workspace["out"])[1]
         assert float(y) == 0.5 and abs(float(loss) - at_half) < 1e-12
+        # these families have no λ
+        assert "\n  lambda_active: N/A\n" in (workspace["out"] / "report.txt").read_text()
 
 
 class TestBiasCommand:
