@@ -67,8 +67,8 @@ def _fit(build, cfg: ExperimentConfig, X, y, seed: int, **eval_data):
 # one step's activations and dropout keep flags: 7.6 parameter-sized arrays
 # in all at the tracemalloc peak of `train_models` (five sonar models, 187
 # rows, minibatches of 16). `xmargin cv` on sonar (repeats=1, epochs=50, run
-# in-process) peaks at 38.1-38.3 MB `VmHWM` one model at a time, 39.8-39.9 MB
-# in stacks of five and 42.2-42.4 MB in stacks of ten.
+# in-process) peaks at 37.2-37.4 MB `VmHWM` one model at a time, 38.9-39.0 MB
+# in stacks of five and 41.4-41.5 MB in stacks of ten.
 STACK_PARAMS = 5 * 6657
 
 

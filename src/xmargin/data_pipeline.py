@@ -8,8 +8,10 @@ so cross-validation stays leakage-free.
 
 from __future__ import annotations
 
+import array
 import csv
 import enum
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -60,39 +62,47 @@ class Dataset:
 
 def load_csv(path, label_column: int = -1, default_class_raw_label: str | None = None,
              header: bool = False) -> Dataset:
-    """Parse a two-class UTF-8 CSV into a Dataset.
+    """Parse a two-class UTF-8 CSV into a Dataset: a read-through, then one pass.
 
-    The raw label equal to ``default_class_raw_label`` becomes class 1, the
-    other class 0. Parse failures report the offending row and column.
+    The pass holds only each row's stripped raw label and one float64 buffer
+    of feature values, which becomes the (n, d) feature matrix uncopied. The
+    raw label equal to ``default_class_raw_label`` becomes class 1, the other
+    class 0. A bad feature cell is reported, by row and column, after all else.
     """
     if not os.path.exists(path):
         raise IngestionError(f"dataset file not found: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except UnicodeDecodeError as exc:
-        raise IngestionError(f"{path}: not UTF-8 text: {exc}") from None
-    if header:
-        if not rows:
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for _ in csv.reader(fh):  # so that a UTF-8 or csv error anywhere comes first
+                pass
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: not UTF-8 text: {exc}") from None
+        fh.seek(0)
+        rows = filter(None, csv.reader(fh))
+        if header and next(rows, None) is None:
             raise IngestionError(f"{path}: empty file")
-        rows = rows[1:]
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
+        first = next(rows, None)
+        if first is None:
+            raise IngestionError(f"{path}: no data rows")
+        width = len(first)
+        label_idx = label_column if label_column >= 0 else width + label_column
+        if not (0 <= label_idx < width):
+            raise LabelChoiceError(f"{path}: label column {label_column} outside row width {width}")
+        if width == 1:
+            raise IngestionError(f"{path}: rows hold only the label column, no features")
+        raw_labels, values, bad_cell = [], array.array("d"), None
+        for i, row in enumerate(itertools.chain([first], rows), 1):
+            if len(row) != width:
+                raise IngestionError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+            raw_labels.append(row.pop(label_idx).strip())
+            if bad_cell is None:
+                try:
+                    values.extend(map(float, row))
+                except ValueError:
+                    j = len(values) % (width - 1)  # extend kept the cells before the bad one
+                    bad_cell = f"row {i}, column {j + 1 + (j >= label_idx)}: {row[j]!r}"
 
-    width = len(rows[0])
-    label_idx = label_column if label_column >= 0 else width + label_column
-    if not (0 <= label_idx < width):
-        raise LabelChoiceError(f"{path}: label column {label_column} outside row width {width}")
-    if width == 1:
-        raise IngestionError(f"{path}: rows hold only the label column, no features")
-
-    raw_labels = []
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise IngestionError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        raw_labels.append(row[label_idx].strip())
-    # the label column is checked before any feature is parsed, so a column
-    # that holds features is reported as the wrong label column
+    # labels come first, so a column of features is reported as the wrong label column
     classes = sorted(set(raw_labels))
     if len(classes) != 2:
         shown = ", ".join(map(repr, classes[:5])) + (", ..." if len(classes) > 5 else "")
@@ -103,24 +113,12 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
     if default_class_raw_label not in classes:
         raise LabelChoiceError(
             f"{path}: default label {default_class_raw_label!r} not among {classes}")
-
-    feats = []
-    for i, row in enumerate(rows):
-        vec = []
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
-            try:
-                vec.append(float(cell))
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: unparseable cell at row {i + 1}, column {j + 1}: {cell!r}"
-                ) from None
-        feats.append(vec)
+    if bad_cell is not None:
+        raise IngestionError(f"{path}: unparseable cell at {bad_cell}")
 
     labels = np.array([1 if r == default_class_raw_label else 0 for r in raw_labels])
-    return Dataset(features=np.array(feats, dtype=float), labels=labels,
-                   default_class_raw_label=default_class_raw_label)
+    return Dataset(features=np.frombuffer(values).reshape(labels.size, width - 1),
+                   labels=labels, default_class_raw_label=default_class_raw_label)
 
 
 def fit_scaler(features: np.ndarray, method: Scaling, fit_on) -> dict:

@@ -1,9 +1,10 @@
+import csv
 import os
-import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xmargin.data_pipeline import (CvReport, Dataset, IngestionError, LabelChoiceError,
@@ -22,12 +23,153 @@ def toy_dataset(n0=10, n1=10, d=3, seed=0):
                    default_class_raw_label="pos")
 
 
+def reference_load(path, label_column=-1, default_class_raw_label=None, header=False):
+    """The parse load_csv must reproduce: every non-blank row of csv.reader,
+    the first dropped as a header, features through float."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r][1 if header else 0:]
+    label_idx = label_column % len(rows[0])
+    raw = [r.pop(label_idx).strip() for r in rows]
+    default = max(raw) if default_class_raw_label is None else default_class_raw_label
+    features = np.array([[float(c) for c in r] for r in rows], dtype=float)
+    return features, np.array([int(r == default) for r in raw]), default, len(set(raw))
+
+
+def assert_matches_reference(path, **kwargs):
+    features, labels, default, n_classes = reference_load(path, **kwargs)
+    if n_classes != 2:
+        with pytest.raises(LabelChoiceError, match="exactly two classes"):
+            load_csv(path, **kwargs)
+        return
+    data = load_csv(path, **kwargs)
+    assert data.features.dtype == np.float64 and data.features.flags.c_contiguous
+    assert data.features.shape == features.shape
+    assert data.features.tobytes() == features.tobytes()
+    assert data.labels.dtype == labels.dtype and data.labels.tobytes() == labels.tobytes()
+    assert data.default_class_raw_label == default
+
+
+def csv_cell(text, quoted):
+    if quoted or "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_files(draw):
+    """A small two-class CSV as (text, load_csv kwargs)."""
+    n, width = draw(st.integers(1, 30)), draw(st.integers(2, 8))
+    label_idx = draw(st.sampled_from([0, width // 2, width - 1]))  # first, middle, last
+    label_column = draw(st.sampled_from([label_idx, label_idx - width]))
+    pair = draw(st.lists(st.sampled_from(["a", "b", "M", "R", "yes", "no", "x,y", 'say "g"']),
+                         min_size=2, max_size=2, unique=True))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.integers(-10 ** 6, 10 ** 6).map(str),
+                      st.sampled_from(["0", "-0.0", "+1.5", "1e-300", " 2.5 ", "1_000"]))
+    pad = st.sampled_from(["", " ", "  "])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    header = draw(st.booleans())
+    if header:
+        lines.append(",".join(f"col{j}" for j in range(width)))
+    for _ in range(n):
+        cells = [draw(value) for _ in range(width - 1)]
+        cells.insert(label_idx, draw(pad) + draw(st.sampled_from(pair)) + draw(pad))
+        lines.append(",".join(csv_cell(c, draw(st.booleans())) for c in cells))
+        lines.extend([""] * draw(st.integers(0, 2)))  # blank lines are skipped
+    default = draw(st.sampled_from([None, *pair]))
+    return newline.join(lines) + newline, {"label_column": label_column, "header": header,
+                                           "default_class_raw_label": default}
+
+
+# file contents (None: no file), load_csv kwargs, the exception's exact type and
+# a fragment of its message ({path} stands for the file); one row per error a
+# reader could report, and one per pair of errors whose order it could change
+INGEST_ERRORS = {
+    "missing_file": (None, {}, IngestionError, "dataset file not found: {path}"),
+    "not_utf8": (b"1.0,yes\n2.0,n\xf6\n", {}, IngestionError, "{path}: not UTF-8 text"),
+    "not_utf8_in_last_row_after_a_bad_label_column": (
+        b"1,a\n2,b\n3,\xff\n", {"label_column": 5}, IngestionError, "{path}: not UTF-8 text"),
+    "csv_error_after_a_ragged_row": (
+        "1,a\n1,2,b\n" + "9" * 131073 + ",a\n", {}, csv.Error, "field larger than field limit"),
+    "header_on_an_empty_file": ("", {"header": True}, IngestionError, "{path}: empty file"),
+    "header_only": ("f,cls\n", {"header": True}, IngestionError, "{path}: no data rows"),
+    "blank_lines_only": ("\n\r\n\n", {}, IngestionError, "{path}: no data rows"),
+    "label_column_outside_the_row": ("1,a\n2,b\n", {"label_column": 2}, LabelChoiceError,
+                                     "{path}: label column 2 outside row width 2"),
+    "only_a_label_column": ("a\nb\n", {}, IngestionError,
+                            "{path}: rows hold only the label column, no features"),
+    "ragged_row": ("1.0,2.0,a\n1.0,b\n", {}, IngestionError,
+                   "{path}: row 2 has 2 cells, expected 3"),
+    "ragged_row_after_a_bad_cell": ("oops,a\n1,b\n1,2,a\n", {}, IngestionError,
+                                    "{path}: row 3 has 3 cells, expected 2"),
+    "three_classes": ("1,a\n2,b\n3,c\n", {}, LabelChoiceError,
+                      "{path}: expected exactly two classes in label column -1, found 3"),
+    "features_in_the_label_column": ("0.1,x,a\n0.2,y,b\n0.3,z,a\n", {"label_column": 0},
+                                     LabelChoiceError, "exactly two classes in label column 0"),
+    "three_classes_after_a_bad_cell_in_row_1": ("oops,a\n2,b\n3,c\n", {}, LabelChoiceError,
+                                                "exactly two classes"),
+    "wrong_default_label": ("1,a\n2,b\n", {"default_class_raw_label": "z"}, LabelChoiceError,
+                            "{path}: default label 'z' not among ['a', 'b']"),
+    "wrong_default_label_after_a_bad_cell": ("oops,a\n2,b\n", {"default_class_raw_label": "z"},
+                                             LabelChoiceError, "default label 'z'"),
+    "unparseable_cell": ("1.0,a\noops,b\n", {}, IngestionError,
+                         "{path}: unparseable cell at row 2, column 1: 'oops'"),
+    "unparseable_cell_after_a_first_label_column": (
+        "a,1,x\nb,2,3\n", {"label_column": 0}, IngestionError, "row 1, column 3: 'x'"),
+    "unparseable_cell_after_a_middle_label_column": (
+        "1,a,2\n3,b,zz\n", {"label_column": 1}, IngestionError, "row 2, column 3: 'zz'"),
+    "first_of_two_unparseable_cells": ("1,x,a\ny,2,b\n", {}, IngestionError,
+                                       "row 1, column 2: 'x'"),
+    "unparseable_cell_counted_past_header_and_blank_lines": (
+        "f,cls\n\n1,a\n\noops,b\n", {"header": True}, IngestionError, "row 2, column 1"),
+    "non_finite_feature": ("nan,a\n1,b\n", {}, IngestionError, "non-finite feature values"),
+}
+
+
+def assert_ingest_error(tmp_path, case):
+    content, kwargs, exc_type, fragment = INGEST_ERRORS[case]
+    path = tmp_path / "toy.csv"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8", newline="")
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(Exception) as info:
+        load_csv(path, **kwargs)
+    assert type(info.value) is exc_type
+    assert fragment.format(path=path) in str(info.value)
+
+
+# the earlier single-case tests, by name
+NAMED_ERRORS = {"not_utf8", "features_in_the_label_column", "three_classes",
+                "unparseable_cell", "ragged_row", "missing_file", "wrong_default_label"}
+
+
 class TestLoadCsv:
+    @pytest.mark.parametrize("case", sorted(set(INGEST_ERRORS) - NAMED_ERRORS))
+    def test_error_precedence(self, tmp_path, case):
+        assert_ingest_error(tmp_path, case)
+
     def test_not_utf8_names_the_file(self, tmp_path):
-        path = tmp_path / "toy.csv"
-        path.write_bytes(b"1.0,yes\n2.0,n\xf6\n")
-        with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
-            load_csv(path)
+        assert_ingest_error(tmp_path, "not_utf8")
+
+    def test_label_column_checked_before_features_are_parsed(self, tmp_path):
+        assert_ingest_error(tmp_path, "features_in_the_label_column")
+
+    def test_three_classes_rejected(self, tmp_path):
+        assert_ingest_error(tmp_path, "three_classes")
+
+    def test_unparseable_cell_reports_location(self, tmp_path):
+        assert_ingest_error(tmp_path, "unparseable_cell")
+
+    def test_ragged_row_reports_location(self, tmp_path):
+        assert_ingest_error(tmp_path, "ragged_row")
+
+    def test_missing_file(self, tmp_path):
+        assert_ingest_error(tmp_path, "missing_file")
+
+    def test_wrong_default_label(self, tmp_path):
+        assert_ingest_error(tmp_path, "wrong_default_label")
 
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "toy.csv"
@@ -55,39 +197,14 @@ class TestLoadCsv:
         data = load_csv(path, header=True)
         assert data.n == 2 and data.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
-    def test_label_column_checked_before_features_are_parsed(self, tmp_path):
-        path = tmp_path / "toy.csv"
-        path.write_text("0.1,x,a\n0.2,y,b\n0.3,z,a\n")
-        with pytest.raises(LabelChoiceError, match="exactly two classes in label column 0"):
-            load_csv(path, label_column=0)
-
-    def test_three_classes_rejected(self, tmp_path):
-        path = tmp_path / "toy.csv"
-        path.write_text("1,a\n2,b\n3,c\n")
-        with pytest.raises(IngestionError, match="exactly two classes"):
-            load_csv(path)
-
-    def test_unparseable_cell_reports_location(self, tmp_path):
-        path = tmp_path / "toy.csv"
-        path.write_text("1.0,a\noops,b\n")
-        with pytest.raises(IngestionError, match="row 2, column 1"):
-            load_csv(path)
-
-    def test_ragged_row_reports_location(self, tmp_path):
-        path = tmp_path / "toy.csv"
-        path.write_text("1.0,2.0,a\n1.0,b\n")
-        with pytest.raises(IngestionError, match="row 2"):
-            load_csv(path)
-
-    def test_missing_file(self):
-        with pytest.raises(IngestionError, match="not found"):
-            load_csv("/nonexistent/x.csv")
-
-    def test_wrong_default_label(self, tmp_path):
-        path = tmp_path / "toy.csv"
-        path.write_text("1,a\n2,b\n")
-        with pytest.raises(IngestionError, match="default label"):
-            load_csv(path, default_class_raw_label="z")
+    @given(csv_files())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_the_reference_parse(self, tmp_path, case):
+        text, kwargs = case
+        path = tmp_path / "toy.csv"  # rewritten for every example
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_matches_reference(path, **kwargs)
 
 
 class TestShippedStandins:
@@ -104,6 +221,24 @@ class TestShippedStandins:
         assert (data.n, data.d) == (351, 34)
         assert int(data.labels.sum()) == 225
         assert np.ptp(data.features[:, 1]) == 0.0
+
+    @pytest.mark.parametrize("name, default", [("sonar_standin.csv", "M"),
+                                               ("ionosphere_standin.csv", "g")])
+    def test_matches_the_reference_parse(self, name, default):
+        assert_matches_reference(os.path.join(DATA_DIR, name), default_class_raw_label=default)
+
+    @pytest.mark.parametrize("name", ["sonar_standin.csv", "ionosphere_standin.csv"])
+    def test_peak_memory_is_a_few_feature_matrices(self, name):
+        # one pass holds the labels and the feature buffer, not the file's cells
+        path = os.path.join(DATA_DIR, name)
+        load_csv(path)  # warm: codecs and the csv module's first-call state
+        tracemalloc.start()
+        try:
+            data = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * data.features.nbytes
 
 
 class TestScaling:
