@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config, validate
-from .data_pipeline import (Dataset, LabelChoiceError, apply_scaler, fit_scaler,
-                            load_csv, repeated_cv, stratified_split)
+from .data_pipeline import (Dataset, apply_scaler, fit_scaler, load_csv, repeated_cv,
+                            stratified_split)
 from .loss_core import LossFamily, LossParams, branches, loss_and_grad_vec, pieces
 from .metrics import (LabelConfidence, accuracy, auc, bias_estimate,
                       conditional_accuracy, conditional_risk, confusion,
@@ -35,21 +35,10 @@ from .report import Indexed, write_csv, write_meta, write_report
 
 
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
-    """The configured dataset; a label column or default label that does not
-    fit the file is a config error."""
-    try:
-        return load_csv(cfg.dataset, label_column=cfg.label_column,
-                        default_class_raw_label=cfg.default_label or None,
-                        header=cfg.header)
-    except LabelChoiceError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _check_k(k: int, data: Dataset) -> None:
-    """A k that some class cannot fill is a config error."""
-    for cls, size in enumerate(np.bincount(data.labels, minlength=2)):
-        if size < k:
-            raise ConfigError(f"class {cls} has {size} members, fewer than k={k}")
+    """The configured dataset. A label column or default label that does not
+    fit the file raises a LabelChoiceError, which is a ConfigError."""
+    return load_csv(cfg.dataset, label_column=cfg.label_column,
+                    default_class_raw_label=cfg.default_label or None, header=cfg.header)
 
 
 def _fit(build, cfg: ExperimentConfig, X, y, seed: int, **eval_data):
@@ -132,11 +121,8 @@ def _final_metrics(probs: np.ndarray, y: np.ndarray) -> dict:
 
 def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
     """(Xtr, ytr, Xte, yte, test_idx), scaled by training-row statistics; a
-    test_fraction that leaves a class no training row is a config error."""
-    try:
-        train_idx, test_idx = stratified_split(data, cfg.test_fraction, cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    test_fraction that leaves a class no training row raises a ConfigError."""
+    train_idx, test_idx = stratified_split(data, cfg.test_fraction, cfg.seed)
     stats = fit_scaler(data.features, cfg.scaling, train_idx)
     X = apply_scaler(data.features, cfg.scaling, stats)
     return (X[train_idx], data.labels[train_idx], X[test_idx], data.labels[test_idx],
@@ -165,7 +151,6 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
 
 def cmd_cv(cfg: ExperimentConfig) -> dict:
     data = _load_dataset(cfg)
-    _check_k(cfg.k, data)
     report = repeated_cv(data, cfg.k, cfg.repeats, _train_predictor_fn(cfg),
                          _accuracy_metric, cfg.seed, scaling=cfg.scaling)
     return {
@@ -185,7 +170,6 @@ def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[LossParams]) -> dict:
     """Repeated CV of each (lambda1, lambda2) cell of `lambda_grid`, with the
     config's loss family."""
     data = _load_dataset(cfg)
-    _check_k(cfg.k, data)
     rows = []
     cells = []
     for l1, l2 in ((p.lambda1, p.lambda2) for p in lambda_grid):
@@ -197,7 +181,7 @@ def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[LossParams]) -> dict:
             std = float(np.mean(rep.repeat_stds))
             rows.append((l1, l2, mean, std, "ok"))
             cells.append((l1, l2, mean, std))
-        except Exception as exc:  # a failed cell is excluded from the argmax
+        except RuntimeError as exc:  # a failed cell is excluded from the argmax
             print(f"warning: grid cell (lambda1={l1}, lambda2={l2}) failed: {exc}",
                   file=sys.stderr)
             rows.append((l1, l2, float("nan"), float("nan"), "failed"))

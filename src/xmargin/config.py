@@ -11,13 +11,9 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .data_pipeline import Scaling
+from .data_pipeline import ConfigError, Scaling  # ConfigError is re-exported
 from .loss_core import LossFamily, LossParams
 from .optimizer import Method, OptimizerConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -125,6 +121,8 @@ def validate(cfg: ExperimentConfig, needs_dataset: bool = True) -> None:
             problems.append(f"dataset file does not exist: {cfg.dataset}")
         elif not os.path.isfile(cfg.dataset):
             problems.append(f"dataset is not a file: {cfg.dataset}")
+    if not cfg.output_dir:
+        problems.append("output_dir is empty")
     try:
         os.fsencode(cfg.output_dir)
     except UnicodeEncodeError as exc:

@@ -31,12 +31,16 @@ class Scaling(enum.Enum):
             raise ValueError(f"unknown scaling method: {name!r}") from None
 
 
+class ConfigError(ValueError):
+    """A setting that is malformed or does not fit the data (exit 1), raised where found."""
+
+
 class IngestionError(ValueError):
     pass
 
 
-class LabelChoiceError(IngestionError):
-    """The label column or default label asked for does not fit the file."""
+class LabelChoiceError(IngestionError, ConfigError):
+    """A label column or default label that does not fit the file: exit 1, not 2."""
 
 
 @dataclass
@@ -77,6 +81,8 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
                 pass
         except UnicodeDecodeError as exc:
             raise IngestionError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: {exc}") from None
         fh.seek(0)
         rows = filter(None, csv.reader(fh))
         if header and next(rows, None) is None:
@@ -90,6 +96,11 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
             raise LabelChoiceError(f"{path}: label column {label_column} outside row width {width}")
         if width == 1:
             raise IngestionError(f"{path}: rows hold only the label column, no features")
+
+        def where(flat):  # the file's row and column of a flat feature index
+            i, j = divmod(flat, width - 1)
+            return f"row {i + 1}, column {j + 1 + (j >= label_idx)}"
+
         raw_labels, values, bad_cell = [], array.array("d"), None
         for i, row in enumerate(itertools.chain([first], rows), 1):
             if len(row) != width:
@@ -98,9 +109,8 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
             if bad_cell is None:
                 try:
                     values.extend(map(float, row))
-                except ValueError:
-                    j = len(values) % (width - 1)  # extend kept the cells before the bad one
-                    bad_cell = f"row {i}, column {j + 1 + (j >= label_idx)}: {row[j]!r}"
+                except ValueError:  # extend kept the cells before the bad one
+                    bad_cell = f"{where(len(values))}: {row[len(values) % (width - 1)]!r}"
 
     # labels come first, so a column of features is reported as the wrong label column
     classes = sorted(set(raw_labels))
@@ -116,9 +126,14 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
     if bad_cell is not None:
         raise IngestionError(f"{path}: unparseable cell at {bad_cell}")
 
+    features = np.frombuffer(values).reshape(-1, width - 1)
+    bad = np.flatnonzero(~np.isfinite(features))
+    if bad.size:
+        raise IngestionError(f"{path}: non-finite feature value at {where(bad[0])}: "
+                             f"{float(features.flat[bad[0]])!r}")
     labels = np.array([1 if r == default_class_raw_label else 0 for r in raw_labels])
-    return Dataset(features=np.frombuffer(values).reshape(labels.size, width - 1),
-                   labels=labels, default_class_raw_label=default_class_raw_label)
+    return Dataset(features=features, labels=labels,
+                   default_class_raw_label=default_class_raw_label)
 
 
 def fit_scaler(features: np.ndarray, method: Scaling, fit_on) -> dict:
@@ -148,7 +163,7 @@ def apply_scaler(features: np.ndarray, method: Scaling, stats: dict) -> np.ndarr
 def stratified_kfold(data: Dataset, k: int, seed: int) -> np.ndarray:
     """Each instance's fold index in a deterministic stratified partition:
     shuffle each class with the seed and deal round-robin, so per-fold class
-    counts are balanced to within 1."""
+    counts are balanced to within 1. A class smaller than k is a ConfigError."""
     if k < 2:
         raise ValueError("k must be >= 2 (one fold must be held out)")
     rng = np.random.default_rng(seed)
@@ -156,7 +171,7 @@ def stratified_kfold(data: Dataset, k: int, seed: int) -> np.ndarray:
     for cls in (0, 1):
         idx = np.flatnonzero(data.labels == cls)
         if idx.size < k:
-            raise ValueError(f"class {cls} has {idx.size} members, fewer than k={k}")
+            raise ConfigError(f"class {cls} has {idx.size} members, fewer than k={k}")
         idx = rng.permutation(idx)
         assignments[idx] = np.arange(idx.size) % k
     return assignments
@@ -164,7 +179,8 @@ def stratified_kfold(data: Dataset, k: int, seed: int) -> np.ndarray:
 
 def stratified_split(data: Dataset, test_fraction: float,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index split into (train, test) preserving class proportions."""
+    """Index split into (train, test) preserving class proportions; a
+    test_fraction that leaves a class no training row is a ConfigError."""
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -173,7 +189,7 @@ def stratified_split(data: Dataset, test_fraction: float,
         idx = rng.permutation(np.flatnonzero(data.labels == cls))
         n_test = max(1, int(round(idx.size * test_fraction)))
         if n_test >= idx.size:
-            raise ValueError(f"class {cls} too small for test_fraction {test_fraction}")
+            raise ConfigError(f"class {cls} too small for test_fraction {test_fraction}")
         test_idx.extend(idx[:n_test])
         train_idx.extend(idx[n_test:])
     return np.sort(np.array(train_idx)), np.sort(np.array(test_idx))

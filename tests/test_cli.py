@@ -58,6 +58,18 @@ def workspace(tmp_path):
     return {"data": data, "cfg": cfg, "out": out, "tmp": tmp_path}
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    """Any training fails the run: an input must be rejected before it."""
+    import xmargin.cli as cli_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the input was checked")
+
+    for name in ("train_models", "train_loop"):
+        monkeypatch.setattr(cli_mod, name, no_training)
+
+
 class TestConfigParsing:
     def test_round_trip_with_comments(self):
         values = parse_config_text("# comment\nlambda1 = 2.5  # inline\n\nseed=3\n")
@@ -101,13 +113,22 @@ class TestConfigParsing:
 
 
 class TestValidation:
+    def test_one_config_error_class(self):
+        import xmargin.cli as cli_mod
+        from xmargin import data_pipeline
+
+        assert ConfigError is data_pipeline.ConfigError is cli_mod.ConfigError
+        assert issubclass(data_pipeline.LabelChoiceError, data_pipeline.IngestionError)
+        assert issubclass(data_pipeline.LabelChoiceError, ConfigError)
+
     def test_collects_all_problems(self):
-        cfg = ExperimentConfig(dataset="", seed=None, epochs=0, k=1)
+        cfg = ExperimentConfig(dataset="", seed=None, epochs=0, k=1, output_dir="")
         with pytest.raises(ConfigError) as err:
             validate(cfg)
         msg = str(err.value)
         assert "seed is mandatory" in msg
         assert "dataset path is required" in msg
+        assert "output_dir is empty" in msg
         assert "invalid epochs" in msg
         assert "invalid k" in msg
 
@@ -412,14 +433,7 @@ class TestExitCodes:
     ], ids=["label_column=0", "cv-k=50", "grid-k=50", "train-test_fraction",
             "bias-test_fraction", "risk-test_fraction"])
     def test_config_value_that_does_not_fit_the_data_is_one(self, workspace, capsys,
-                                                            monkeypatch, argv, message):
-        import xmargin.cli as cli_mod
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before the config was checked against the data")
-
-        for name in ("train_models", "train_loop"):
-            monkeypatch.setattr(cli_mod, name, no_training)
+                                                            no_training, argv, message):
         assert main([argv[0], "--config", str(workspace["cfg"]), *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
@@ -466,6 +480,173 @@ class TestExitCodes:
                      "--samples", "11"]) == 0
 
 
+MISSING = None  # the key left out of the config
+
+# each config key -> its bad values: missing, empty, negative, NaN, +-inf, the
+# wrong type and values that do not fit the toy data (20 rows per class, four
+# features, the label in column 4), as they apply to the key
+BAD_CONFIG_VALUES = {
+    "dataset": [MISSING, "", "/no/such.csv", "{tmp}"],
+    "label_column": ["", "-99", "nan", "inf", "1.5", "99", "0"],
+    "default_label": ["Q"],
+    "header": ["", "-1", "maybe"],
+    "loss_family": ["", "-1", "nope"],
+    "lambda1": ["", "-1", "nan", "inf", "-inf", "x"],
+    "lambda2": ["", "-1", "nan", "inf", "-inf", "x"],
+    "optimizer": ["", "-1", "nope"],
+    "alpha": ["", "-1", "nan", "inf", "-inf", "x"],
+    "epochs": ["", "0", "-1", "nan", "inf", "1.5"],
+    "batch_size": ["", "0", "-1", "nan", "inf", "1.5"],
+    "k": ["", "1", "-2", "nan", "inf", "2.5"],
+    "repeats": ["", "0", "-1", "nan", "inf", "x"],
+    "seed": [MISSING, "", "-1", "nan", "inf", "x"],
+    "scaling": ["", "-1", "nope"],
+    "test_fraction": ["", "0", "1", "-0.3", "nan", "inf", "x", "0.999"],
+    "output_dir": ["", "out/a\0b"],
+}
+# the flags a command needs besides the config
+COMMAND_FLAGS = {"grid": ["--lambda-grid", "1,1"], "risk": ["--confidence", "0.5,0.5"]}
+CONFIG_CASES = ([("train", key, value) for key, values in BAD_CONFIG_VALUES.items()
+                 for value in values]
+                + [("cv", "k", "500"), ("grid", "k", "500"), ("bias", "test_fraction", "0.999"),
+                   ("risk", "test_fraction", "0.999")])
+
+# a command with a malformed or out-of-range flag, and a fragment of its error
+BAD_FLAGS = [
+    ("boundary --resolution=", "argument --resolution: invalid int value: ''"),
+    ("boundary --resolution abc", "invalid int value: 'abc'"),
+    ("boundary --resolution 1.5", "invalid int value: '1.5'"),
+    ("boundary --resolution 1", "grid resolution must be >= 2"),
+    ("boundary --resolution -5", "grid resolution must be >= 2"),
+    ("boundary --features=", "needs two comma-separated int values"),
+    ("boundary --features 0", "needs two comma-separated int values"),
+    ("boundary --features 0,1,2", "needs two comma-separated int values"),
+    ("boundary --features a,b", "needs two comma-separated int values"),
+    ("boundary --features 1,1", "boundary features must be distinct"),
+    ("boundary --features 0,4", "feature index 4 outside 0..3"),
+    ("boundary --features=-1,2", "feature index -1 outside 0..3"),
+    ("loss-curve --samples=", "argument --samples: invalid int value"),
+    ("loss-curve --samples x", "invalid int value: 'x'"),
+    ("loss-curve --samples 1", "samples must be >= 2"),
+    ("loss-curve --samples -3", "samples must be >= 2"),
+    ("loss-curve --y-true=", "argument --y-true: invalid int value"),
+    ("loss-curve --y-true 5", "invalid choice: 5"),
+    ("loss-curve --y-true -1", "invalid choice: -1"),
+    ("loss-curve --y-true 0.5", "invalid int value: '0.5'"),
+    ("bias --ensemble-size=", "argument --ensemble-size: invalid int value"),
+    ("bias --ensemble-size two", "invalid int value: 'two'"),
+    ("bias --ensemble-size 1", "ensemble_size must be >= 2"),
+    ("bias --ensemble-size -2", "ensemble_size must be >= 2"),
+    ("bias --variants=", "variants must be non-empty"),
+    ("bias --variants ,", "variants must be non-empty"),
+    ("bias --variants nope", "bad variant 'nope'"),
+    ("bias --variants xm:1", "xtreme-margin variant needs xm:L1:L2"),
+    ("bias --variants bce:3", "bce variant takes no lambdas"),
+    ("bias --variants xm:1:x", "bad variant 'xm:1:x'"),
+    ("bias --variants xm:-1:1", "must be finite and >= 0"),
+    ("bias --variants xm:nan:1", "must be finite and >= 0"),
+    ("bias --variants xm:1:inf", "must be finite and >= 0"),
+    ("grid", "the following arguments are required: --lambda-grid"),
+    ("grid --lambda-grid=", "lambda grid must be non-empty"),
+    ("grid --lambda-grid ;", "lambda grid must be non-empty"),
+    ("grid --lambda-grid 1", "needs two comma-separated float values"),
+    ("grid --lambda-grid 1,x", "needs two comma-separated float values"),
+    ("grid --lambda-grid 1,1;1,-1", "must be finite and >= 0"),
+    ("grid --lambda-grid nan,1", "must be finite and >= 0"),
+    ("grid --lambda-grid 1,1;inf,1", "must be finite and >= 0"),
+    ("grid --lambda-grid 1,1 --override k=500", "class 0 has 20 members, fewer than k=500"),
+    ("risk", "exactly one of --confidence / --confidence-column is required"),
+    ("risk --confidence=", "needs two comma-separated float values"),
+    ("risk --confidence 0.5", "needs two comma-separated float values"),
+    ("risk --confidence x,y", "needs two comma-separated float values"),
+    ("risk --confidence 0.3,0.3", "confidence must be a distribution"),
+    ("risk --confidence=-0.5,1.5", "confidence must be a distribution"),
+    ("risk --confidence nan,1", "confidence must be a distribution"),
+    ("risk --confidence inf,0", "confidence must be a distribution"),
+    ("risk --confidence-column=", "argument --confidence-column: invalid int value"),
+    ("risk --confidence-column x", "invalid int value: 'x'"),
+    ("risk --confidence-column 99", "confidence column 99 out of range"),
+    ("risk --confidence-column -1", "confidence column -1 out of range"),
+    ("risk --confidence-column 0", "not a probability"),
+    ("risk --confidence 0.5,0.5 --confidence-column 0", "exactly one of"),
+]
+
+# a dataset whose contents cannot be used, its config overrides and a fragment
+# of the error, which names the file
+BAD_DATASETS = {
+    "not_utf8": (b"1,2,pos\n3,4,n\xe9g\n", [], "not UTF-8 text"),
+    "ragged_row": ("1,2,pos\n3,neg\n", [], "row 2 has 2 cells, expected 3"),
+    "only_a_label_column": ("pos\nneg\n", [], "rows hold only the label column, no features"),
+    "unparseable_cell": ("1,2,pos\n3,oops,neg\n", [],
+                         "unparseable cell at row 2, column 2: 'oops'"),
+    "nan_cell": ("1,nan,pos\n3,4,neg\n", [], "non-finite feature value at row 1, column 2: nan"),
+    "overflowing_cell": ("1,2,pos\n1e999,4,neg\n", [],
+                         "non-finite feature value at row 2, column 1: inf"),
+    "over_long_field": ("1,2,pos\n" + "9" * 131073 + ",4,neg\n", [],
+                        "field larger than field limit (131072)"),
+    "empty_file": ("", [], "no data rows"),
+    "empty_file_with_a_header": ("", ["header=true"], "empty file"),
+    "header_only": ("f1,f2,cls\n", ["header=true"], "no data rows"),
+}
+
+
+def run_cli(workspace, capsys, command, *args):
+    """`main` on the workspace config: (exit code, stderr)."""
+    code = main([command, "--config", str(workspace["cfg"]), *args])
+    return code, capsys.readouterr().err
+
+
+def assert_config_error(code, err):
+    """Exit 1 with one `error:` line, followed only by the lines of its list of
+    problems."""
+    lines = err.splitlines()
+    assert code == 1, err
+    assert lines[0].startswith("error: "), err
+    assert all(line.startswith("  - ") for line in lines[1:]), err
+
+
+@pytest.mark.usefixtures("no_training")
+class TestExitCodeTable:
+    """Every bad input exits before any training: 1 for a config value or
+    flag that is malformed or does not fit the data, 2 for unusable data."""
+
+    @pytest.mark.parametrize("command,key,value", CONFIG_CASES,
+                             ids=[f"{c}-{k}={'<missing>' if v is MISSING else repr(v)}"
+                                  for c, k, v in CONFIG_CASES])
+    def test_bad_config_value_is_one(self, workspace, capsys, command, key, value):
+        cfg = workspace["cfg"]
+        if value is MISSING:
+            cfg.write_text("".join(line for line in cfg.read_text().splitlines(True)
+                                   if not line.startswith(f"{key} =")))
+            args = []
+        else:
+            args = ["--override", f"{key}={value.format(tmp=workspace['tmp'])}"]
+        code, err = run_cli(workspace, capsys, command, *args, *COMMAND_FLAGS.get(command, []))
+        assert_config_error(code, err)
+        assert key in err.replace(" ", "_"), err  # the message names the key
+
+    @pytest.mark.parametrize("argv,fragment", BAD_FLAGS, ids=[a for a, _ in BAD_FLAGS])
+    def test_bad_flag_is_one(self, workspace, capsys, argv, fragment):
+        command, *args = argv.split(" ")
+        code, err = run_cli(workspace, capsys, command, *args)
+        assert_config_error(code, err)
+        assert fragment in err
+
+    @pytest.mark.parametrize("case", list(BAD_DATASETS))
+    def test_unusable_dataset_is_two(self, workspace, capsys, case):
+        content, overrides, fragment = BAD_DATASETS[case]
+        data = workspace["data"]
+        if isinstance(content, bytes):
+            data.write_bytes(content)
+        else:
+            data.write_text(content)
+        code, err = run_cli(workspace, capsys, "train",
+                            *(a for o in overrides for a in ("--override", o)))
+        assert code == 2, err
+        assert err.startswith(f"runtime failure: {data}: ") and fragment in err, err
+        assert err.count("\n") == 1, err
+
+
 class TestTrainCommand:
     def test_outputs_and_row_count(self, workspace):
         assert main(["train", "--config", str(workspace["cfg"])]) == 0
@@ -506,6 +687,44 @@ class TestGridCommand:
         assert all(line.endswith(",ok") for line in grid[1:])
         report = (workspace["out"] / "report.txt").read_text()
         assert "argmax:" in report
+
+    def test_failed_cell_is_left_out_of_the_argmax(self, tmp_path, capsys):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        assert main(["grid", "--config", os.path.join(root, "presets", "sonar_table1.cfg"),
+                     "--lambda-grid", "1,1;1e308,1e308",
+                     "--override", f"dataset={os.path.join(root, 'data', 'sonar_standin.csv')}",
+                     "--override", "repeats=1", "--override", "epochs=1",
+                     "--override", f"output_dir={tmp_path}"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "warning: grid cell (lambda1=1e+308, lambda2=1e+308) failed: "
+            "CV cell failed at repeat 0, fold 0: model 0: "), err
+        grid = (tmp_path / "grid.csv").read_text().splitlines()
+        assert grid[1].startswith("1.0,1.0,") and grid[1].endswith(",ok")
+        assert grid[2] == "1e+308,1e+308,nan,nan,failed"
+        report = (tmp_path / "report.txt").read_text()
+        assert "  cells_evaluated: 1\n  cells_failed: 1\n" in report
+        assert "  argmax:\n    lambda1: 1.0\n    lambda2: 1.0\n" in report
+
+    @pytest.mark.usefixtures("no_training")
+    def test_k_larger_than_a_class_exits_before_any_cell(self, workspace, capsys):
+        assert main(["grid", "--config", str(workspace["cfg"]), "--lambda-grid", "1,1;2,2",
+                     "--override", "k=500"]) == 1
+        assert capsys.readouterr().err == "error: class 0 has 20 members, fewer than k=500\n"
+        assert not (workspace["out"] / "grid.csv").exists()
+
+    def test_error_that_is_not_a_failed_cell_is_not_hidden(self, workspace, capsys,
+                                                           monkeypatch):
+        import xmargin.cli as cli_mod
+
+        def broken_cv(*args, **kwargs):
+            raise TypeError("a programming error")
+
+        monkeypatch.setattr(cli_mod, "repeated_cv", broken_cv)
+        assert main(["grid", "--config", str(workspace["cfg"]),
+                     "--lambda-grid", "1,1;2,2"]) == 2
+        assert capsys.readouterr().err == "runtime failure: a programming error\n"
+        assert not (workspace["out"] / "grid.csv").exists()
 
     def test_argmax_tiebreak_prefers_small_std_then_small_lambda(self):
         # replicate the selection rule on constructed cells
@@ -660,13 +879,7 @@ class TestRiskCommand:
                      "--confidence-column", "0"]) == 1
 
     def test_non_probability_column_rejected_before_training(self, tmp_path, capsys,
-                                                            monkeypatch):
-        import xmargin.cli as cli_mod
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking the confidence column")
-
-        monkeypatch.setattr(cli_mod, "train_loop", no_training)
+                                                            no_training):
         root = os.path.join(os.path.dirname(__file__), "..")
         assert main(["risk", "--config", os.path.join(root, "presets", "sonar_table1.cfg"),
                      "--confidence-column", "3",
@@ -717,13 +930,7 @@ class TestMalformedFlagsExitOne:
 
     @pytest.mark.parametrize("grid", ["1,1;1,-1", "nan,1;1,1"])
     def test_invalid_lambda_grid_cell_before_training(self, workspace, capsys,
-                                                      monkeypatch, grid):
-        import xmargin.cli as cli_mod
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained a grid cell before checking them all")
-
-        monkeypatch.setattr(cli_mod, "train_models", no_training)
+                                                      no_training, grid):
         assert main(["grid", "--config", str(workspace["cfg"]),
                      "--lambda-grid", grid]) == 1
         assert "must be finite and >= 0" in capsys.readouterr().err

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xmargin.data_pipeline import (CvReport, Dataset, IngestionError, LabelChoiceError,
-                                   Scaling, apply_scaler, fit_scaler, load_csv,
-                                   repeated_cv, stratified_kfold, stratified_split)
+from xmargin.data_pipeline import (ConfigError, CvReport, Dataset, IngestionError,
+                                   LabelChoiceError, Scaling, apply_scaler, fit_scaler,
+                                   load_csv, repeated_cv, stratified_kfold, stratified_split)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -91,7 +91,8 @@ INGEST_ERRORS = {
     "not_utf8_in_last_row_after_a_bad_label_column": (
         b"1,a\n2,b\n3,\xff\n", {"label_column": 5}, IngestionError, "{path}: not UTF-8 text"),
     "csv_error_after_a_ragged_row": (
-        "1,a\n1,2,b\n" + "9" * 131073 + ",a\n", {}, csv.Error, "field larger than field limit"),
+        "1,a\n1,2,b\n" + "9" * 131073 + ",a\n", {}, IngestionError,
+        "{path}: field larger than field limit"),
     "header_on_an_empty_file": ("", {"header": True}, IngestionError, "{path}: empty file"),
     "header_only": ("f,cls\n", {"header": True}, IngestionError, "{path}: no data rows"),
     "blank_lines_only": ("\n\r\n\n", {}, IngestionError, "{path}: no data rows"),
@@ -123,7 +124,18 @@ INGEST_ERRORS = {
                                        "row 1, column 2: 'x'"),
     "unparseable_cell_counted_past_header_and_blank_lines": (
         "f,cls\n\n1,a\n\noops,b\n", {"header": True}, IngestionError, "row 2, column 1"),
-    "non_finite_feature": ("nan,a\n1,b\n", {}, IngestionError, "non-finite feature values"),
+    "non_finite_feature": ("nan,a\n1,b\n", {}, IngestionError,
+                           "{path}: non-finite feature value at row 1, column 1: nan"),
+    "overflowing_feature_counted_past_header_and_blank_lines": (
+        "f,g,cls\n\n1,2,a\n\n3,1e999,b\n", {"header": True}, IngestionError,
+        "{path}: non-finite feature value at row 2, column 2: inf"),
+    "non_finite_feature_after_a_first_label_column": (
+        "a,1,2\nb,-inf,3\n", {"label_column": 0}, IngestionError,
+        "{path}: non-finite feature value at row 2, column 2: -inf"),
+    "wrong_default_label_after_a_non_finite_cell": (
+        "nan,a\n2,b\n", {"default_class_raw_label": "z"}, LabelChoiceError, "default label 'z'"),
+    "unparseable_cell_after_a_non_finite_one": ("nan,a\noops,b\n", {}, IngestionError,
+                                               "unparseable cell at row 2, column 1"),
 }
 
 
@@ -312,7 +324,7 @@ class TestStratifiedKfold:
             stratified_kfold(toy_dataset(), k=1, seed=0)
 
     def test_class_smaller_than_k(self):
-        with pytest.raises(ValueError, match="fewer than k"):
+        with pytest.raises(ConfigError, match="^class 0 has 3 members, fewer than k=5$"):
             stratified_kfold(toy_dataset(n0=3, n1=10), k=5, seed=0)
 
     def test_deterministic_and_seed_sensitive(self):
@@ -352,7 +364,7 @@ class TestStratifiedSplit:
             stratified_split(toy_dataset(), 0.0, seed=0)
 
     def test_class_exhausted(self):
-        with pytest.raises(ValueError, match="too small"):
+        with pytest.raises(ConfigError, match="^class 0 too small for test_fraction 0.9$"):
             stratified_split(toy_dataset(n0=2, n1=30), 0.9, seed=0)
 
 
