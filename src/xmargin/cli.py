@@ -12,6 +12,7 @@ configured output directory; wall-clock timing goes to a separate meta file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
@@ -24,7 +25,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config, validate
 from .data_pipeline import (Dataset, apply_scaler, fit_scaler, load_csv, repeated_cv,
                             stratified_split)
-from .loss_core import LossFamily, LossParams, branches, loss_and_grad_vec, pieces
+from .loss_core import LossFamily, LossParams, branches, hard_labels, loss_and_grad_vec, pieces
 from .metrics import (LabelConfidence, accuracy, auc, bias_estimate,
                       conditional_accuracy, conditional_risk, confusion,
                       precision_recall)
@@ -101,11 +102,11 @@ def _train_predictor_fn(cfg: ExperimentConfig):
 
 
 def _accuracy_metric(predictor, X, y) -> float:
-    return accuracy((predictor(X) >= 0.5).astype(int), y)
+    return accuracy(hard_labels(predictor(X)), y)
 
 
 def _final_metrics(probs: np.ndarray, y: np.ndarray) -> dict:
-    preds = (probs >= 0.5).astype(int)
+    preds = hard_labels(probs)
     c = confusion(preds, y)
     prec, rec = precision_recall(c)
     return {
@@ -171,16 +172,13 @@ def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[LossParams]) -> dict:
     config's loss family."""
     data = _load_dataset(cfg)
     rows = []
-    cells = []
     for l1, l2 in ((p.lambda1, p.lambda2) for p in lambda_grid):
         cell_cfg = dataclasses.replace(cfg, lambda1=l1, lambda2=l2)
         try:
             rep = repeated_cv(data, cfg.k, cfg.repeats, _train_predictor_fn(cell_cfg),
                               _accuracy_metric, cfg.seed, scaling=cfg.scaling)
-            mean = float(np.mean(rep.repeat_means))
-            std = float(np.mean(rep.repeat_stds))
-            rows.append((l1, l2, mean, std, "ok"))
-            cells.append((l1, l2, mean, std))
+            rows.append((l1, l2, float(np.mean(rep.repeat_means)),
+                         float(np.mean(rep.repeat_stds)), "ok"))
         except RuntimeError as exc:  # a failed cell is excluded from the argmax
             print(f"warning: grid cell (lambda1={l1}, lambda2={l2}) failed: {exc}",
                   file=sys.stderr)
@@ -188,14 +186,15 @@ def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[LossParams]) -> dict:
     write_csv(os.path.join(cfg.output_dir, "grid.csv"),
               ["lambda1", "lambda2", "mean_cv_accuracy", "std_cv_accuracy", "status"],
               list(zip(*rows)))
-    if not cells:
+    evaluated = [row for row in rows if row[4] == "ok"]
+    if not evaluated:
         raise RuntimeError("every grid cell failed")
     # argmax mean; ties broken by smaller std, then smaller lambda1, lambda2
-    best = min(cells, key=lambda c: (-c[2], c[3], c[0], c[1]))
+    best = min(evaluated, key=lambda c: (-c[2], c[3], c[0], c[1]))
     return {
         "command": "grid",
-        "cells_evaluated": len(cells),
-        "cells_failed": len(rows) - len(cells),
+        "cells_evaluated": len(evaluated),
+        "cells_failed": len(rows) - len(evaluated),
         "argmax": {"lambda1": best[0], "lambda2": best[1],
                    "mean_cv_accuracy": best[2], "std_cv_accuracy": best[3]},
         "grid_file": "grid.csv",
@@ -236,7 +235,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
     write_csv(os.path.join(cfg.output_dir, "boundary_grid.csv"),
               ["x1", "x2", "probability", "hard_label"],
               [Indexed(g1, np.tile(steps, resolution)), Indexed(g2, np.repeat(steps, resolution)),
-               probs, Indexed(np.arange(2), (probs >= 0.5).view(np.uint8))])
+               probs, Indexed(np.arange(2), hard_labels(probs).view(np.uint8))])
     write_csv(os.path.join(cfg.output_dir, "boundary_points.csv"),
               ["x1", "x2", "label"], [feats[:, 0], feats[:, 1], data.labels])
     return {
@@ -244,8 +243,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
         "features": [f1, f2],
         "resolution": resolution,
         "grid_rows": len(probs),
-        "train_accuracy": accuracy((predict_proba(result.model, X) >= 0.5).astype(int),
-                                   data.labels),
+        "train_accuracy": accuracy(hard_labels(predict_proba(result.model, X)), data.labels),
         "grid_file": "boundary_grid.csv",
         "points_file": "boundary_points.csv",
     }
@@ -455,12 +453,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> tuple[ExperimentConfig, dict]:
     """Load and validate the config, make its output directory, and run the
-    command on its converted flags."""
+    command on its converted flags. If the command raises, the levels of the
+    output directory made here that are still empty are removed again."""
     flags = dict(vars(args))
     cfg = load_config(flags.pop("config"), flags.pop("override"))
     validate(cfg, needs_dataset=flags.pop("needs_dataset"))
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg, flags.pop("run")(cfg, **flags)
+    path = level = os.path.abspath(cfg.output_dir)
+    made = []  # the levels of path that makedirs creates, innermost first
+    while not os.path.lexists(level):
+        made.append(level)
+        level = os.path.dirname(level)
+    try:
+        os.makedirs(path, exist_ok=True)
+        return cfg, flags.pop("run")(cfg, **flags)
+    except BaseException:
+        for level in made:
+            with contextlib.suppress(OSError):  # a level that holds files stays
+                os.rmdir(level)
+        raise
 
 
 def main(argv=None) -> int:

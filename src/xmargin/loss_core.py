@@ -51,7 +51,7 @@ class Branch(enum.Enum):
     CORRECT_NON_DEFAULT = "correct_non_default"
     CORRECT_DEFAULT = "correct_default"
     MISCLASSIFIED = "misclassified"
-    # measure-zero case: the 0.5 threshold calls the prediction correct but
+    # measure-zero case: `hard_labels` calls the prediction correct but
     # the distance condition routes it through the misclassification penalty
     SIGMA_BOUNDARY = "sigma_boundary"
 
@@ -156,15 +156,20 @@ _BRANCHES = np.array([Branch.CORRECT_NON_DEFAULT, Branch.CORRECT_DEFAULT,
                       Branch.MISCLASSIFIED, Branch.SIGMA_BOUNDARY], dtype=object)
 
 
+def hard_labels(y) -> np.ndarray:
+    """Each probability's predicted class as a bool array: True (class 1) iff y >= 0.5."""
+    return np.asarray(y) >= 0.5
+
+
 def branches(y, y_true) -> np.ndarray:
     """The Xtreme Margin piece each instance is in, as an object array of
-    `Branch`: |y - y_true| >= 0.5 selects the exponential piece, where the
-    threshold rule (y >= 0.5 is class 1) tells SIGMA_BOUNDARY from
-    MISCLASSIFIED; otherwise the true class names the correct piece."""
+    `Branch`: |y - y_true| >= 0.5 selects the exponential piece, where
+    `hard_labels` tells SIGMA_BOUNDARY from MISCLASSIFIED; otherwise the
+    true class names the correct piece."""
     y = np.asarray(y, dtype=float)
     yt = np.asarray(y_true, dtype=float)
     far = np.abs(y - yt) >= 0.5
-    agree = np.where(far, (y >= 0.5) == (yt == 1.0), yt == 1.0)
+    agree = np.where(far, hard_labels(y) == (yt == 1.0), yt == 1.0)
     return _BRANCHES[2 * far + agree]
 
 

@@ -23,12 +23,12 @@ REPORT_SCHEMA_VERSION = 1
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, np.generic):
+        value = value.item()  # a numpy scalar is written as its Python scalar
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
     if value is None:
         return "null"
     return str(value)

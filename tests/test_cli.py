@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xmargin
-from xmargin.cli import main, parse_variant
+from xmargin.cli import _accuracy_metric, _final_metrics, main, parse_variant
 from xmargin.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text, validate)
 from xmargin.data_pipeline import Scaling, apply_scaler, fit_scaler
-from xmargin.loss_core import LossFamily
+from xmargin.loss_core import Branch, LossFamily, LossParams, branches
+from xmargin.network import build_boundary_model
+from xmargin.optimizer import OptimizerConfig, train
 from xmargin.report import (Indexed, _fmt, atomic_write, render_report, write_csv,
                             write_report)
 
@@ -165,6 +168,13 @@ class TestReportRendering:
         with pytest.raises(ValueError, match="ragged"):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 3]])
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("scalar,text", [
+        (np.float64(0.1), "0.1"), (np.float32(0.1), "0.10000000149011612"),
+        (np.float64(math.nan), "nan"), (np.int64(-3), "-3"), (np.uint8(1), "1"),
+        (np.bool_(False), "false")], ids=repr)
+    def test_numpy_scalar_is_written_as_its_python_scalar(self, scalar, text):
+        assert _fmt(scalar) == _fmt(scalar.item()) == text
 
     def test_csv_repr_floats(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -453,6 +463,30 @@ class TestExitCodes:
         assert "runtime failure" in capsys.readouterr().err
         assert trained == []
 
+    @pytest.mark.parametrize("argv,code", [
+        (["grid", "--lambda-grid", "1,1", "--override", "k=500"], 1),
+        (["train"], 2),  # with a feature cell that is not a number
+    ], ids=["grid-k=500", "unparseable-cell"])
+    def test_rejected_run_leaves_no_output_dir(self, workspace, capsys, no_training,
+                                               argv, code):
+        if code == 2:
+            lines = workspace["data"].read_text().splitlines()
+            lines[3] = "oops," + lines[3].split(",", 1)[1]
+            workspace["data"].write_text("\n".join(lines) + "\n")
+        fresh = workspace["tmp"] / "fresh"
+        assert main([argv[0], "--config", str(workspace["cfg"]), *argv[1:],
+                     "--override", f"output_dir={fresh / 'a' / 'b'}"]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not fresh.exists()
+
+    def test_rejected_run_keeps_a_directory_that_was_there(self, workspace, no_training):
+        kept = workspace["tmp"] / "kept"
+        kept.mkdir()
+        for out in (kept, kept / "a" / "b"):
+            assert main(["cv", "--config", str(workspace["cfg"]), "--override", "k=500",
+                         "--override", f"output_dir={out}"]) == 1
+            assert os.listdir(kept) == []
+
     def test_output_dir_with_a_nul_byte_is_one(self, workspace, capsys):
         cfg, out = workspace["cfg"], workspace["out"]
         cfg.write_text(cfg.read_text().replace(f"output_dir = {out}",
@@ -706,6 +740,18 @@ class TestGridCommand:
         assert "  cells_evaluated: 1\n  cells_failed: 1\n" in report
         assert "  argmax:\n    lambda1: 1.0\n    lambda2: 1.0\n" in report
 
+    def test_grid_whose_every_cell_fails_keeps_its_grid_csv(self, tmp_path, capsys):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        out = tmp_path / "fresh" / "a"
+        assert main(["grid", "--config", os.path.join(root, "presets", "sonar_table1.cfg"),
+                     "--lambda-grid", "1e308,1e308",
+                     "--override", f"dataset={os.path.join(root, 'data', 'sonar_standin.csv')}",
+                     "--override", "repeats=1", "--override", "epochs=1",
+                     "--override", f"output_dir={out}"]) == 2
+        assert capsys.readouterr().err.endswith("runtime failure: every grid cell failed\n")
+        assert (out / "grid.csv").read_text().splitlines()[1:] == [
+            "1e+308,1e+308,nan,nan,failed"]
+
     @pytest.mark.usefixtures("no_training")
     def test_k_larger_than_a_class_exits_before_any_cell(self, workspace, capsys):
         assert main(["grid", "--config", str(workspace["cfg"]), "--lambda-grid", "1,1;2,2",
@@ -791,6 +837,57 @@ class TestBoundaryCommand:
     def test_identical_features_rejected(self, workspace):
         assert main(["boundary", "--config", str(workspace["cfg"]),
                      "--features", "1,1"]) == 1
+
+
+EDGE = np.array([0.5, np.nextafter(0.5, 0.0)])  # class 1, then class 0
+
+
+def classes_by_final_metrics(probs, workspace, monkeypatch):
+    metrics = _final_metrics(probs, np.array([1, 0]))
+    return [metrics["tp"], metrics["fp"]]  # row 0 is class 1 iff tp, row 1 iff fp
+
+
+def classes_by_accuracy_metric(probs, workspace, monkeypatch):
+    return [_accuracy_metric(lambda X, p=p: np.array([p]), None, np.array([1]))
+            for p in probs]
+
+
+def classes_by_boundary_csv(probs, workspace, monkeypatch):
+    import xmargin.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_fit", lambda *args: SimpleNamespace(model=None))
+    monkeypatch.setattr(cli_mod, "predict_proba", lambda model, X: np.resize(probs, len(X)))
+    assert main(["boundary", "--config", str(workspace["cfg"]), "--features", "0,1",
+                 "--resolution", "2"]) == 0
+    rows = (workspace["out"] / "boundary_grid.csv").read_text().splitlines()[1:]
+    return [int(row.rsplit(",", 1)[1]) for row in rows[:len(probs)]]
+
+
+def classes_by_branches(probs, workspace, monkeypatch):
+    # both rows are far from y_true = 1: agreeing with it is SIGMA_BOUNDARY
+    return [b is Branch.SIGMA_BOUNDARY for b in branches(probs, [1, 1])]
+
+
+def classes_by_epoch_accuracy(probs, workspace, monkeypatch):
+    import xmargin.optimizer as optimizer_mod
+
+    classes = []
+    for p in probs:
+        monkeypatch.setattr(optimizer_mod, "predict_proba", lambda model, X: np.full(len(X), p))
+        X, y = np.zeros((1, 2)), np.array([1])
+        result = train(build_boundary_model(2, 0), X, y, LossParams(), OptimizerConfig(),
+                       epochs=1, batch_size=1, rng=np.random.default_rng(0),
+                       eval_X=X, eval_y=y)
+        classes.append(result.history[0].train_acc)
+    return classes
+
+
+@pytest.mark.parametrize("scorer", [
+    classes_by_final_metrics, classes_by_accuracy_metric, classes_by_boundary_csv,
+    classes_by_branches, classes_by_epoch_accuracy], ids=lambda f: f.__name__[11:])
+def test_every_scorer_calls_one_half_class_one(workspace, monkeypatch, scorer):
+    """The decision rule's edge: y = 0.5 is class 1, the float below it class 0."""
+    assert [int(c) for c in scorer(EDGE, workspace, monkeypatch)] == [1, 0]
 
 
 class TestLossCurveCommand:
