@@ -26,9 +26,7 @@ from .config import ConfigError, ExperimentConfig, load_config, validate
 from .data_pipeline import (Dataset, apply_scaler, fit_scaler, load_csv, repeated_cv,
                             stratified_split)
 from .loss_core import LossFamily, LossParams, branches, hard_labels, loss_and_grad_vec, pieces
-from .metrics import (LabelConfidence, accuracy, auc, bias_estimate,
-                      conditional_accuracy, conditional_risk, confusion,
-                      precision_recall)
+from .metrics import LabelConfidence, bias_estimate, conditional_risk, scores
 from .network import build_boundary_model, build_experiment_model, predict_proba
 from .optimizer import train as train_loop
 from .optimizer import train_models
@@ -102,22 +100,13 @@ def _train_predictor_fn(cfg: ExperimentConfig):
 
 
 def _accuracy_metric(predictor, X, y) -> float:
-    return accuracy(hard_labels(predictor(X)), y)
+    return scores(predictor(X), y)["accuracy"]
 
 
-def _final_metrics(probs: np.ndarray, y: np.ndarray) -> dict:
-    preds = hard_labels(probs)
-    c = confusion(preds, y)
-    prec, rec = precision_recall(c)
-    return {
-        "accuracy": accuracy(preds, y),
-        "precision": prec,
-        "recall": rec,
-        "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn,
-        "conditional_accuracy_class0": conditional_accuracy(preds, y, 0),
-        "conditional_accuracy_class1": conditional_accuracy(preds, y, 1),
-        "auc": auc(probs[y == 1], probs[y == 0]),
-    }
+def _cv(cfg: ExperimentConfig, data: Dataset):
+    """Repeated stratified CV of the experiment model under `cfg`, scored by accuracy."""
+    return repeated_cv(data, cfg.k, cfg.repeats, _train_predictor_fn(cfg),
+                       _accuracy_metric, cfg.seed, scaling=cfg.scaling)
 
 
 def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
@@ -145,15 +134,13 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     return {
         "command": "train",
         "n_train": len(ytr), "n_test": len(yte),
-        "final": _final_metrics(probs, yte),
+        "final": scores(probs, yte),
         "curve_file": "curves.csv",
     }
 
 
 def cmd_cv(cfg: ExperimentConfig) -> dict:
-    data = _load_dataset(cfg)
-    report = repeated_cv(data, cfg.k, cfg.repeats, _train_predictor_fn(cfg),
-                         _accuracy_metric, cfg.seed, scaling=cfg.scaling)
+    report = _cv(cfg, _load_dataset(cfg))
     return {
         "command": "cv",
         "metric": "accuracy",
@@ -173,10 +160,8 @@ def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[LossParams]) -> dict:
     data = _load_dataset(cfg)
     rows = []
     for l1, l2 in ((p.lambda1, p.lambda2) for p in lambda_grid):
-        cell_cfg = dataclasses.replace(cfg, lambda1=l1, lambda2=l2)
         try:
-            rep = repeated_cv(data, cfg.k, cfg.repeats, _train_predictor_fn(cell_cfg),
-                              _accuracy_metric, cfg.seed, scaling=cfg.scaling)
+            rep = _cv(dataclasses.replace(cfg, lambda1=l1, lambda2=l2), data)
             rows.append((l1, l2, float(np.mean(rep.repeat_means)),
                          float(np.mean(rep.repeat_stds)), "ok"))
         except RuntimeError as exc:  # a failed cell is excluded from the argmax
@@ -243,7 +228,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
         "features": [f1, f2],
         "resolution": resolution,
         "grid_rows": len(probs),
-        "train_accuracy": accuracy(hard_labels(predict_proba(result.model, X)), data.labels),
+        "train_accuracy": scores(predict_proba(result.model, X), data.labels)["accuracy"],
         "grid_file": "boundary_grid.csv",
         "points_file": "boundary_points.csv",
     }
@@ -292,7 +277,7 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
         raise ConfigError("ensemble_size must be >= 2")
     data = _load_dataset(cfg)
     Xtr, ytr, Xte, yte, _ = _split_and_scale(cfg, data)
-    table = {"loss_family": [], "lambda1": [], "lambda2": [], "bias": []}
+    rows = []
     warnings = []
     seeds = [cfg.seed + 7919 * (member + 1) for member in range(ensemble_size)]
     for params in variants:
@@ -301,15 +286,14 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
         results = _fit_many(build_experiment_model, variant_cfg, [Xtr] * ensemble_size,
                             [ytr] * ensemble_size, seeds)
         preds = np.array([predict_proba(r.model, Xte) for r in results])
-        if np.allclose(preds, preds[0], atol=0.0):
+        if (preds == preds[0]).all():
             warnings.append(f"degenerate ensemble for {params.family.value}: "
                             "all members produced identical predictions")
         xm = params.family is LossFamily.XTREME_MARGIN
-        for name, value in zip(table, (params.family.value, params.lambda1 if xm else "N/A",
-                                       params.lambda2 if xm else "N/A",
-                                       bias_estimate(preds, yte))):
-            table[name].append(value)
-    write_csv(os.path.join(cfg.output_dir, "bias.csv"), list(table), list(table.values()))
+        rows.append((params.family.value, params.lambda1 if xm else "N/A",
+                     params.lambda2 if xm else "N/A", bias_estimate(preds, yte)))
+    write_csv(os.path.join(cfg.output_dir, "bias.csv"),
+              ["loss_family", "lambda1", "lambda2", "bias"], list(zip(*rows)))
     out = {
         "command": "bias",
         "bias_estimator": "ensemble-mean-prediction squared deviation, "

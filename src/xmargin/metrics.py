@@ -1,7 +1,7 @@
-"""Evaluation metrics: confusion counts, (conditional) accuracy,
-precision/recall with explicit undefined markers, the all-pairs AUC counted
-exactly, an ensemble bias estimator, and the conditional risk of a
-prediction under label uncertainty."""
+"""Evaluation metrics: confusion counts, (conditional) accuracy, precision/
+recall with explicit undefined markers, the all-pairs AUC counted exactly,
+`scores`, a model's record of all of them, an ensemble bias estimator, and
+the conditional risk of a prediction under label uncertainty."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss_core import LossParams, loss_and_grad_vec
+from .loss_core import LossParams, hard_labels, loss_and_grad_vec
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,23 @@ def auc(scores_pos, scores_neg) -> float:
     below = np.searchsorted(scores_neg, scores_pos, "left")
     tied = np.searchsorted(scores_neg, scores_pos, "right") - below
     return float((below.sum() + 0.5 * tied.sum()) / (scores_pos.size * scores_neg.size))
+
+
+def scores(probs, truth) -> dict:
+    """A model's probabilities `probs` scored against the 0/1 labels `truth`, all from
+    one confusion of `hard_labels(probs)`; `None` marks a ratio a missing class leaves undefined."""
+    probs, truth = np.asarray(probs), np.asarray(truth)
+    c = confusion(hard_labels(probs), truth)
+    precision, recall = precision_recall(c)
+    class0 = c.tn / (c.tn + c.fp) if c.tn + c.fp > 0 else None
+    return {
+        "accuracy": (c.tp + c.tn) / (c.tp + c.fp + c.tn + c.fn),
+        "precision": precision, "recall": recall, "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn,
+        "conditional_accuracy_class0": class0,
+        "conditional_accuracy_class1": recall,  # tp / (tp + fn)
+        "auc": None if class0 is None or recall is None
+        else auc(probs[truth == 1], probs[truth == 0]),
+    }
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .loss_core import LossParams, hard_labels, loss_and_grad_vec
-from .metrics import accuracy
+from .loss_core import LossParams, loss_and_grad_vec
+from .metrics import scores
 from .network import MlpModel, Mode, backward, dropout_keep, forward, predict_proba
 
 
@@ -303,7 +303,7 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
             for b in range(n_models):
                 train_acc = eval_acc = float("nan")
                 if evals is not None:
-                    train_acc, eval_acc = (accuracy(hard_labels(predict_proba(models[b], X)), y)
+                    train_acc, eval_acc = (scores(predict_proba(models[b], X), y)["accuracy"]
                                            for X, y in ((Xs[b], ys[b]), evals[b]))
                 history[b].append(EpochRecord(epoch, float(losses[b, :batches[b]].mean()),
                                               train_acc, eval_acc))

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xmargin
-from xmargin.cli import _accuracy_metric, _final_metrics, main, parse_variant
+from xmargin.cli import _accuracy_metric, main, parse_variant
 from xmargin.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text, validate)
 from xmargin.data_pipeline import Scaling, apply_scaler, fit_scaler
 from xmargin.loss_core import Branch, LossFamily, LossParams, branches
+from xmargin.metrics import scores
 from xmargin.network import build_boundary_model
 from xmargin.optimizer import OptimizerConfig, train
 from xmargin.report import (Indexed, _fmt, atomic_write, render_report, write_csv,
@@ -843,7 +844,7 @@ EDGE = np.array([0.5, np.nextafter(0.5, 0.0)])  # class 1, then class 0
 
 
 def classes_by_final_metrics(probs, workspace, monkeypatch):
-    metrics = _final_metrics(probs, np.array([1, 0]))
+    metrics = scores(probs, np.array([1, 0]))
     return [metrics["tp"], metrics["fp"]]  # row 0 is class 1 iff tp, row 1 iff fp
 
 
@@ -861,6 +862,22 @@ def classes_by_boundary_csv(probs, workspace, monkeypatch):
                  "--resolution", "2"]) == 0
     rows = (workspace["out"] / "boundary_grid.csv").read_text().splitlines()[1:]
     return [int(row.rsplit(",", 1)[1]) for row in rows[:len(probs)]]
+
+
+def classes_by_boundary_train_accuracy(probs, workspace, monkeypatch):
+    import xmargin.cli as cli_mod
+
+    make_dataset(workspace["data"], n0=10, n1=30)  # all class 1 scores 0.75, all class 0 0.25
+    monkeypatch.setattr(cli_mod, "_fit", lambda *args: SimpleNamespace(model=None))
+    classes = []
+    for p in probs:
+        monkeypatch.setattr(cli_mod, "predict_proba", lambda model, X, p=p: np.full(len(X), p))
+        assert main(["boundary", "--config", str(workspace["cfg"]), "--features", "0,1",
+                     "--resolution", "2"]) == 0
+        report = (workspace["out"] / "report.txt").read_text()
+        assert "\n  train_accuracy: 0.75\n" in report or "\n  train_accuracy: 0.25\n" in report
+        classes.append("\n  train_accuracy: 0.75\n" in report)
+    return classes
 
 
 def classes_by_branches(probs, workspace, monkeypatch):
@@ -884,7 +901,8 @@ def classes_by_epoch_accuracy(probs, workspace, monkeypatch):
 
 @pytest.mark.parametrize("scorer", [
     classes_by_final_metrics, classes_by_accuracy_metric, classes_by_boundary_csv,
-    classes_by_branches, classes_by_epoch_accuracy], ids=lambda f: f.__name__[11:])
+    classes_by_boundary_train_accuracy, classes_by_branches, classes_by_epoch_accuracy],
+    ids=lambda f: f.__name__[11:])
 def test_every_scorer_calls_one_half_class_one(workspace, monkeypatch, scorer):
     """The decision rule's edge: y = 0.5 is class 1, the float below it class 0."""
     assert [int(c) for c in scorer(EDGE, workspace, monkeypatch)] == [1, 0]
@@ -952,6 +970,19 @@ class TestBiasCommand:
                      "--override", "alpha=0"]) == 0
         report = (workspace["out"] / "report.txt").read_text()
         assert "degenerate ensemble" in report
+
+    def test_nearly_identical_ensemble_does_not_warn(self, workspace, monkeypatch):
+        import xmargin.cli as cli_mod
+
+        # member m predicts 0.3 * (1 + 1e-7 * m): members that differ, although
+        # by less than np.allclose's default relative tolerance of 1e-5
+        monkeypatch.setattr(cli_mod, "_fit_many", lambda build, cfg, Xs, ys, seeds: (
+            SimpleNamespace(model=m) for m in range(len(seeds))))
+        monkeypatch.setattr(cli_mod, "predict_proba",
+                            lambda model, X: np.full(len(X), 0.3 * (1 + 1e-7 * model)))
+        assert main(["bias", "--config", str(workspace["cfg"]),
+                     "--variants", "bce", "--ensemble-size", "2"]) == 0
+        assert "degenerate ensemble" not in (workspace["out"] / "report.txt").read_text()
 
     def test_small_ensemble_rejected(self, workspace):
         assert main(["bias", "--config", str(workspace["cfg"]),

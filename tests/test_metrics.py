@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmargin.loss_core import LossFamily, LossParams, loss_and_grad
+from xmargin.loss_core import LossFamily, LossParams, hard_labels, loss_and_grad
 from xmargin.metrics import (ConfusionCounts, LabelConfidence,
                              accuracy, auc, auc_brute, bias_estimate,
                              conditional_accuracy, conditional_risk, confusion,
-                             precision_recall)
+                             precision_recall, scores)
 
 
 class TestConfusion:
@@ -98,6 +98,44 @@ class TestAuc:
         pos = np.round(rng.random(m), 1)
         neg = np.round(rng.random(n), 1)
         assert auc(pos, neg) == auc_brute(pos, neg)
+
+
+@st.composite
+def scored_sets(draw):
+    """(probs, truth): 0/1 labels that hold both classes, and probabilities
+    that often sit on either side of the 0.5 edge."""
+    truth = draw(st.lists(st.integers(0, 1), min_size=2, max_size=40)
+                 .filter(lambda t: 0 in t and 1 in t))
+    edge = st.sampled_from([0.5, float(np.nextafter(0.5, 0.0))])
+    probs = draw(st.lists(edge | st.floats(0, 1), min_size=len(truth), max_size=len(truth)))
+    return np.array(probs), np.array(truth)
+
+
+class TestScores:
+    FIELDS = ["accuracy", "precision", "recall", "tp", "fp", "tn", "fn",
+              "conditional_accuracy_class0", "conditional_accuracy_class1", "auc"]
+
+    @given(scored_sets())
+    @settings(max_examples=200)
+    def test_each_field_is_its_own_function(self, scored):
+        probs, truth = scored
+        preds = hard_labels(probs)
+        c = confusion(preds, truth)
+        expected = dict(zip(self.FIELDS, (
+            accuracy(preds, truth), *precision_recall(c), c.tp, c.fp, c.tn, c.fn,
+            conditional_accuracy(preds, truth, 0), conditional_accuracy(preds, truth, 1),
+            auc(probs[truth == 1], probs[truth == 0]))))
+        got = scores(probs, truth)
+        assert list(got) == self.FIELDS
+        for name, want in expected.items():
+            assert type(got[name]) is type(want) and got[name] == want, name
+
+    @pytest.mark.parametrize("truth,undefined", [(1, "conditional_accuracy_class0"),
+                                                 (0, "conditional_accuracy_class1")])
+    def test_one_class_leaves_its_ratios_undefined(self, truth, undefined):
+        got = scores([0.9, 0.5, 0.2], [truth] * 3)
+        assert got["accuracy"] == (2 / 3 if truth else 1 / 3)
+        assert got[undefined] is None and got["auc"] is None
 
 
 class TestBiasEstimate:
