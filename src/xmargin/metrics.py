@@ -1,7 +1,8 @@
-"""Evaluation metrics: confusion counts, (conditional) accuracy, precision/
-recall with explicit undefined markers, the all-pairs AUC counted exactly,
-`scores`, a model's record of all of them, an ensemble bias estimator, and
-the conditional risk of a prediction under label uncertainty."""
+"""Evaluation metrics: `scores`, a model's one record of its accuracy,
+precision/recall and confusion counts, per-class accuracy and AUC, with
+explicit undefined markers; conditional accuracy; the all-pairs AUC counted
+exactly; an ensemble bias estimator; and the conditional risk of a
+prediction under label uncertainty."""
 
 from __future__ import annotations
 
@@ -10,33 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss_core import LossParams, hard_labels, loss_and_grad_vec
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
-def confusion(preds, truth) -> ConfusionCounts:
-    """Counts with the default class (label 1) as the positive class."""
-    preds = np.asarray(preds)
-    truth = np.asarray(truth)
-    if preds.shape != truth.shape or preds.size == 0:
-        raise ValueError("preds and truth must be equal-length and non-empty")
-    return ConfusionCounts(
-        tp=int(np.sum((preds == 1) & (truth == 1))),
-        fp=int(np.sum((preds == 1) & (truth == 0))),
-        tn=int(np.sum((preds == 0) & (truth == 0))),
-        fn=int(np.sum((preds == 0) & (truth == 1))),
-    )
-
-
-def accuracy(preds, truth) -> float:
-    c = confusion(preds, truth)
-    return (c.tp + c.tn) / (c.tp + c.fp + c.tn + c.fn)
 
 
 def conditional_accuracy(preds, truth, on_class: int) -> float:
@@ -49,14 +23,6 @@ def conditional_accuracy(preds, truth, on_class: int) -> float:
     if not mask.any():
         raise ValueError(f"undefined conditional accuracy: no instances of class {on_class}")
     return float(np.mean(preds[mask] == on_class))
-
-
-def precision_recall(counts: ConfusionCounts) -> tuple[float | None, float | None]:
-    """(precision, recall); ``None`` marks an undefined ratio rather than a
-    silent zero."""
-    precision = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp > 0 else None
-    recall = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn > 0 else None
-    return precision, recall
 
 
 def auc_brute(scores_pos, scores_neg) -> float:
@@ -90,18 +56,23 @@ def auc(scores_pos, scores_neg) -> float:
 
 def scores(probs, truth) -> dict:
     """A model's probabilities `probs` scored against the 0/1 labels `truth`, all from
-    one confusion of `hard_labels(probs)`; `None` marks a ratio a missing class leaves undefined."""
+    one count of tp/fp/tn/fn with class 1 positive and `hard_labels(probs)` the
+    predictions; `None` marks a ratio a missing class leaves undefined."""
     probs, truth = np.asarray(probs), np.asarray(truth)
-    c = confusion(hard_labels(probs), truth)
-    precision, recall = precision_recall(c)
-    class0 = c.tn / (c.tn + c.fp) if c.tn + c.fp > 0 else None
+    if probs.shape != truth.shape or probs.size == 0:
+        raise ValueError("probs and truth must be equal-length and non-empty")
+    preds, pos, neg = hard_labels(probs), truth == 1, truth == 0
+    tp, fp = int(np.sum(preds & pos)), int(np.sum(preds & neg))
+    tn, fn = int(np.sum(~preds & neg)), int(np.sum(~preds & pos))
+    precision = tp / (tp + fp) if tp + fp > 0 else None
+    recall = tp / (tp + fn) if tp + fn > 0 else None
+    class0 = tn / (tn + fp) if tn + fp > 0 else None
     return {
-        "accuracy": (c.tp + c.tn) / (c.tp + c.fp + c.tn + c.fn),
-        "precision": precision, "recall": recall, "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn,
+        "accuracy": (tp + tn) / (tp + fp + tn + fn),
+        "precision": precision, "recall": recall, "tp": tp, "fp": fp, "tn": tn, "fn": fn,
         "conditional_accuracy_class0": class0,
         "conditional_accuracy_class1": recall,  # tp / (tp + fn)
-        "auc": None if class0 is None or recall is None
-        else auc(probs[truth == 1], probs[truth == 0]),
+        "auc": None if class0 is None or recall is None else auc(probs[pos], probs[neg]),
     }
 
 

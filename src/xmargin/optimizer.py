@@ -197,25 +197,35 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     snapshot. The input models end as the final iterates, or as the last
     iterates before a failed step: their parameters are rows of the stack's
     (B, P) array, and their own buffers are let go when training starts.
-    With `evals` (one (X, y) per model) each epoch records accuracies.
+    With `evals` (one (X, y) per model, checked like the training sets
+    before any training) each epoch records accuracies.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if not models:
+        raise ValueError("need at least one model")
     if not len(models) == len(Xs) == len(ys) == len(rngs):
         raise ValueError("need one training set and one generator per model")
+    if evals is not None and len(evals) != len(models):
+        raise ValueError("need one eval set per model")
     n_models = len(models)
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     ys = [np.asarray(y, dtype=float) for y in ys]
     d = models[0].input_dim
-    for b, (X, y) in enumerate(zip(Xs, ys)):
+    sets = [(b, "training", X, y) for b, (X, y) in enumerate(zip(Xs, ys))]
+    if evals is not None:
+        sets += [(b, "eval", np.asarray(X, dtype=float), y) for b, (X, y) in enumerate(evals)]
+    for b, name, X, y in sets:
         if X.ndim != 2 or X.shape[0] == 0:
-            raise ValueError(f"model {b}: training data must be non-empty")
+            raise ValueError(f"model {b}: {name} data must be non-empty")
         if X.shape[1] != d:
             raise ValueError(f"model {b}: input dim {X.shape[1]} != model input dim {d}")
         if len(y) != X.shape[0]:
-            raise ValueError(f"model {b}: training labels do not match training rows")
+            raise ValueError(f"model {b}: {name} labels do not match {name} rows")
+        if not np.isin(y, (0, 1)).all():
+            raise ValueError(f"model {b}: {name} labels must be 0 or 1")
         if not np.isfinite(X).all():
             raise ValueError(f"model {b}: non-finite input")
 

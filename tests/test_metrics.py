@@ -6,27 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmargin.loss_core import LossFamily, LossParams, hard_labels, loss_and_grad
-from xmargin.metrics import (ConfusionCounts, LabelConfidence,
-                             accuracy, auc, auc_brute, bias_estimate,
-                             conditional_accuracy, conditional_risk, confusion,
-                             precision_recall, scores)
+from xmargin.metrics import (LabelConfidence, auc, auc_brute, bias_estimate,
+                             conditional_accuracy, conditional_risk, scores)
+
+
+def accuracy(probs, truth) -> float:
+    """The share of rows whose hard label is the true one: the oracle for the
+    accuracy that `scores` counts."""
+    return float(np.mean(hard_labels(probs) == np.asarray(truth)))
 
 
 class TestConfusion:
+    """`scores`' counts, with class 1 as the positive class."""
+
     def test_counts(self):
-        c = confusion([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
-        assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 1, 1)
+        got = scores([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
+        assert (got["tp"], got["fp"], got["tn"], got["fn"]) == (2, 1, 1, 1)
 
     def test_accuracy(self):
-        assert accuracy([1, 1, 0, 0], [1, 0, 0, 0]) == 0.75
+        assert scores([1, 1, 0, 0], [1, 0, 0, 0])["accuracy"] == 0.75
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            confusion([], [])
+        with pytest.raises(ValueError, match="probs and truth"):
+            scores([], [])
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion([1, 0], [1])
+        with pytest.raises(ValueError, match="probs and truth"):
+            scores([1, 0], [1])
 
 
 class TestConditionalAccuracy:
@@ -51,16 +57,25 @@ class TestConditionalAccuracy:
 
 
 class TestPrecisionRecall:
+    @staticmethod
+    def scored(tp, fp, tn, fn):
+        """`scores` of hard 0/1 predictions holding these counts."""
+        return scores([1] * (tp + fp) + [0] * (tn + fn),
+                      [1] * tp + [0] * fp + [0] * tn + [1] * fn)
+
     def test_values(self):
-        prec, rec = precision_recall(ConfusionCounts(tp=3, fp=1, tn=4, fn=2))
-        assert prec == pytest.approx(0.75)
-        assert rec == pytest.approx(0.6)
+        got = self.scored(tp=3, fp=1, tn=4, fn=2)
+        assert got["precision"] == pytest.approx(0.75)
+        assert got["recall"] == pytest.approx(0.6)
 
     def test_undefined_markers(self):
-        prec, rec = precision_recall(ConfusionCounts(tp=0, fp=0, tn=5, fn=0))
-        assert prec is None and rec is None
-        prec, rec = precision_recall(ConfusionCounts(tp=0, fp=0, tn=3, fn=2))
-        assert prec is None and rec == 0.0
+        # no class-1 row: recall, class-1 accuracy and AUC are undefined
+        got = self.scored(tp=0, fp=0, tn=5, fn=0)
+        assert got["precision"] is None and got["recall"] is None
+        assert got["conditional_accuracy_class1"] is None and got["auc"] is None
+        # nothing predicted positive: precision alone is undefined
+        got = self.scored(tp=0, fp=0, tn=3, fn=2)
+        assert got["precision"] is None and got["recall"] == 0.0
 
 
 class TestAuc:
@@ -120,9 +135,12 @@ class TestScores:
     def test_each_field_is_its_own_function(self, scored):
         probs, truth = scored
         preds = hard_labels(probs)
-        c = confusion(preds, truth)
+        pairs = list(zip(preds.tolist(), truth.tolist()))
+        counts = [pairs.count(pair) for pair in ((True, 1), (True, 0), (False, 0), (False, 1))]
         expected = dict(zip(self.FIELDS, (
-            accuracy(preds, truth), *precision_recall(c), c.tp, c.fp, c.tn, c.fn,
+            accuracy(probs, truth),
+            float(np.mean(truth[preds] == 1)) if preds.any() else None,
+            conditional_accuracy(preds, truth, 1), *counts,
             conditional_accuracy(preds, truth, 0), conditional_accuracy(preds, truth, 1),
             auc(probs[truth == 1], probs[truth == 0]))))
         got = scores(probs, truth)

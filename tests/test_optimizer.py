@@ -7,7 +7,7 @@ from xmargin.loss_core import LossParams, xtreme_margin_loss
 from xmargin.network import (Activation, Layer, MlpModel, build_boundary_model,
                              forward_single_layer, predict_proba)
 from xmargin.optimizer import (DECAY, EPSILON, Method, OptimizerConfig, TrainState,
-                               rmsprop_step, subgradient_step, train,
+                               rmsprop_step, subgradient_step, train, train_models,
                                verify_subgradient)
 
 
@@ -147,6 +147,41 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(model, X, y, LossParams(), OptimizerConfig(),
                   epochs=1, batch_size=0, rng=rng)
+
+    def test_no_models_rejected(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            train_models([], [], [], LossParams(), OptimizerConfig(), 1, 4, [])
+
+    def test_labels_outside_0_1_rejected_before_training(self):
+        model = build_boundary_model(3, seed=0)
+        before = model.flat.copy()
+        X, _ = self.toy_data()
+        with pytest.raises(ValueError, match=r"^model 0: training labels must be 0 or 1$"):
+            train(model, X, np.array([0, 2] * 6), LossParams(), OptimizerConfig(),
+                  epochs=1, batch_size=4, rng=np.random.default_rng(0))
+        assert np.array_equal(model.flat, before)
+
+    @pytest.mark.parametrize("rows,cols,labels,message", [
+        (slice(0), slice(None), slice(0), "eval data must be non-empty"),
+        (slice(None), slice(2), slice(None), "input dim 2 != model input dim 3"),
+        (slice(None), slice(None), slice(-1), "eval labels do not match eval rows"),
+        (slice(None), slice(None), None, "eval labels must be 0 or 1"),
+    ], ids=["empty", "input_dim", "label_count", "labels_0_1"])
+    def test_bad_eval_set_rejected_before_training(self, rows, cols, labels, message):
+        model = build_boundary_model(3, seed=0)
+        before = model.flat.copy()
+        X, y = self.toy_data()
+        eval_y = 2 * y if labels is None else y[labels]
+        with pytest.raises(ValueError, match=f"^model 0: {message}$"):
+            train(model, X, y, LossParams(), OptimizerConfig(), epochs=1, batch_size=4,
+                  rng=np.random.default_rng(0), eval_X=X[rows, cols], eval_y=eval_y)
+        assert np.array_equal(model.flat, before)
+
+    def test_one_eval_set_per_model(self):
+        X, y = self.toy_data()
+        with pytest.raises(ValueError, match="one eval set per model"):
+            train_models([build_boundary_model(3, seed=0)], [X], [y], LossParams(),
+                         OptimizerConfig(), 1, 4, [np.random.default_rng(0)], [])
 
     def test_history_length_and_fields(self):
         model = build_boundary_model(3, seed=0)
