@@ -114,7 +114,7 @@ def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
     test_fraction that leaves a class no training row raises a ConfigError."""
     train_idx, test_idx = stratified_split(data, cfg.test_fraction, cfg.seed)
     stats = fit_scaler(data.features, cfg.scaling, train_idx)
-    X = apply_scaler(data.features, cfg.scaling, stats)
+    X = apply_scaler(data.features, stats)
     return (X[train_idx], data.labels[train_idx], X[test_idx], data.labels[test_idx],
             test_idx)
 
@@ -202,7 +202,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
 
     feats = data.features[:, [f1, f2]]
     stats = fit_scaler(feats, cfg.scaling, np.arange(len(feats)))
-    X = apply_scaler(feats, cfg.scaling, stats)
+    X = apply_scaler(feats, stats)
     result = _fit(build_boundary_model, cfg, X, data.labels, cfg.seed)
 
     lo = feats.min(axis=0)
@@ -213,7 +213,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
     # scaling is elementwise per column, so scaling the two axes and then
     # crossing them gives the scaled grid bit for bit;
     # row i * resolution + j of the grid is (g1[j], g2[i])
-    s1, s2 = apply_scaler(np.column_stack([g1, g2]), cfg.scaling, stats).T
+    s1, s2 = apply_scaler(np.column_stack([g1, g2]), stats).T
     probs = predict_proba(result.model,
                           np.column_stack([g.ravel() for g in np.meshgrid(s1, s2)]))
     steps = np.arange(resolution)

@@ -1,8 +1,8 @@
 """Dataset ingestion, scaling, stratified splitting, and repeated CV.
 
 CSV files hold one instance per row with numeric features and a two-valued
-label column; the configured "default" raw label maps to class 1. Scaling
-statistics are always fitted on a caller-chosen subset (the training rows)
+label column; the configured "default" raw label maps to class 1. A scaling
+transform is always fitted on a caller-chosen subset (the training rows)
 so cross-validation stays leakage-free.
 """
 
@@ -50,6 +50,11 @@ class Dataset:
     default_class_raw_label: str
 
     def __post_init__(self):
+        if np.ndim(self.features) != 2:
+            raise IngestionError(f"features must be 2-D, got shape {np.shape(self.features)}")
+        if np.shape(self.labels) != (len(self.features),):
+            raise IngestionError(f"labels of shape {np.shape(self.labels)} for "
+                                 f"{len(self.features)} feature rows, not one per row")
         if not np.isfinite(self.features).all():
             raise IngestionError("non-finite feature values")
         if not np.isin(self.labels, (0, 1)).all():
@@ -136,28 +141,26 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
                    default_class_raw_label=default_class_raw_label)
 
 
-def fit_scaler(features: np.ndarray, method: Scaling, fit_on) -> dict:
-    """Fit scaling statistics on the given row subset only."""
+def fit_scaler(features: np.ndarray, method: Scaling, fit_on) -> tuple:
+    """Fit `method` on the given row subset only, as the transform that
+    `apply_scaler` applies: (shift, scale, constant). MinMax marks a column
+    that is constant on the rows as `constant`, so it maps to 0."""
     fit_rows = features[fit_on]
     if fit_rows.shape[0] == 0:
         raise ValueError("fit_on must be non-empty")
     if method is Scaling.MINMAX:
-        return {"min": fit_rows.min(axis=0), "max": fit_rows.max(axis=0)}
+        low = fit_rows.min(axis=0)
+        span = fit_rows.max(axis=0) - low
+        return low, np.where(span == 0.0, 1.0, span), span == 0.0
     if method is Scaling.ZSCORE:
-        return {"mean": fit_rows.mean(axis=0),
-                "std": np.maximum(fit_rows.std(axis=0), 1e-12)}
-    return {}
+        return fit_rows.mean(axis=0), np.maximum(fit_rows.std(axis=0), 1e-12), False
+    return 0.0, 1.0, False
 
 
-def apply_scaler(features: np.ndarray, method: Scaling, stats: dict) -> np.ndarray:
-    if method is Scaling.MINMAX:
-        span = stats["max"] - stats["min"]
-        # constant features map to 0 rather than erroring
-        safe = np.where(span == 0.0, 1.0, span)
-        return np.where(span == 0.0, 0.0, (features - stats["min"]) / safe)
-    if method is Scaling.ZSCORE:
-        return (features - stats["mean"]) / stats["std"]
-    return features.copy()
+def apply_scaler(features: np.ndarray, stats: tuple) -> np.ndarray:
+    """A new array, `(features - shift) / scale` with 0 in the `constant` columns."""
+    shift, scale, constant = stats
+    return np.where(constant, 0.0, (features - shift) / scale)
 
 
 def stratified_kfold(data: Dataset, k: int, seed: int) -> np.ndarray:
@@ -236,7 +239,7 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
-    cells = []  # (repeat, fold, training rows, held-out mask, scaler statistics)
+    cells = []  # (repeat, fold, training rows, held-out mask, fitted scaler)
     train_ys, seeds = [], []
     for r in range(repeats):
         folds = stratified_kfold(data, k, seed ^ r)
@@ -247,7 +250,7 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
             cells.append((r, fold, train_idx, test_mask, stats))
             train_ys.append(data.labels[train_idx])
             seeds.append((seed ^ r) * 1000 + fold)
-    train_Xs = (apply_scaler(data.features[train_idx], scaling, stats)
+    train_Xs = (apply_scaler(data.features[train_idx], stats)
                 for _, _, train_idx, _, stats in cells)
 
     def failure(r, fold, exc):
@@ -265,7 +268,7 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
                 raise ValueError(f"train_fn returned {len(flat)} predictors "
                                  f"for {len(cells)} cells")
             flat.append(float(metric_fn(
-                predictor, apply_scaler(data.features[test_mask], scaling, stats),
+                predictor, apply_scaler(data.features[test_mask], stats),
                 data.labels[test_mask])))
         except Exception as exc:
             raise failure(r, fold, exc) from exc

@@ -61,6 +61,10 @@ def scores(probs, truth) -> dict:
     probs, truth = np.asarray(probs), np.asarray(truth)
     if probs.shape != truth.shape or probs.size == 0:
         raise ValueError("probs and truth must be equal-length and non-empty")
+    if not np.isin(truth, (0, 1)).all():
+        raise ValueError("truth must hold only 0 and 1")
+    if not ((probs >= 0) & (probs <= 1)).all():  # so that a NaN fails it
+        raise ValueError("probs must be probabilities in [0, 1], not NaN")
     preds, pos, neg = hard_labels(probs), truth == 1, truth == 0
     tp, fp = int(np.sum(preds & pos)), int(np.sum(preds & neg))
     tn, fn = int(np.sum(~preds & neg)), int(np.sum(~preds & pos))

@@ -83,6 +83,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"<config>:2: unknown key"):
             parse_config_text("seed = 1\nbogus = 2\n")
 
+    def test_line_without_equals_with_location(self):
+        with pytest.raises(ConfigError,
+                           match=r"^<config>:2: expected 'key = value', got 'epochs 5'$"):
+            parse_config_text("seed = 1\nepochs 5\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_config_text("seed = 1\nseed = 2\n")
@@ -590,6 +595,7 @@ BAD_FLAGS = [
     ("grid --lambda-grid nan,1", "must be finite and >= 0"),
     ("grid --lambda-grid 1,1;inf,1", "must be finite and >= 0"),
     ("grid --lambda-grid 1,1 --override k=500", "class 0 has 20 members, fewer than k=500"),
+    ("train --override epochs", "--override: expected 'key = value', got 'epochs'"),
     ("risk", "exactly one of --confidence / --confidence-column is required"),
     ("risk --confidence=", "needs two comma-separated float values"),
     ("risk --confidence 0.5", "needs two comma-separated float values"),
@@ -821,9 +827,9 @@ class TestBoundaryCommand:
         stats = fit_scaler(feats, scaling, np.arange(50))
         g1, g2 = np.linspace(-2.3, 17.9, 101), np.linspace(-2.05, -1.9, 101)
         grid = np.column_stack([g.ravel() for g in np.meshgrid(g1, g2)])
-        s1, s2 = apply_scaler(np.column_stack([g1, g2]), scaling, stats).T
+        s1, s2 = apply_scaler(np.column_stack([g1, g2]), stats).T
         crossed = np.column_stack([g.ravel() for g in np.meshgrid(s1, s2)])
-        assert crossed.tobytes() == apply_scaler(grid, scaling, stats).tobytes()
+        assert crossed.tobytes() == apply_scaler(grid, stats).tobytes()
 
     def test_constant_feature_rejected(self, workspace, capsys):
         path = workspace["tmp"] / "const.csv"

@@ -253,10 +253,23 @@ class TestShippedStandins:
         assert peak <= 4 * data.features.nbytes
 
 
+class TestDataset:
+    @pytest.mark.parametrize("features,labels,message", [
+        (np.array([[0.0, np.inf]]), np.array([0]), "non-finite feature values"),
+        (np.zeros((2, 2)), np.array([0, 2]), "labels must be 0 or 1"),
+        (np.arange(4.0), np.array([0, 1, 0, 1]), "features must be 2-D"),
+        (np.arange(40.0).reshape(20, 2), np.array([0, 1] * 9), "not one per row"),
+        (np.zeros((2, 2)), np.array([[0, 1]]), "not one per row"),
+    ], ids=["non_finite", "labels_0_1", "features_1d", "too_few_labels", "labels_2d"])
+    def test_malformed_dataset_rejected(self, features, labels, message):
+        with pytest.raises(IngestionError, match=message):
+            Dataset(features, labels, "x")
+
+
 class TestScaling:
     def test_minmax_unit_interval_on_fit_rows(self):
         data = toy_dataset()
-        scaled = apply_scaler(data.features, Scaling.MINMAX,
+        scaled = apply_scaler(data.features,
                               fit_scaler(data.features, Scaling.MINMAX, np.arange(data.n)))
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
         assert np.isclose(scaled.min(axis=0), 0.0).all()
@@ -264,7 +277,7 @@ class TestScaling:
 
     def test_zscore_moments_on_fit_rows(self):
         data = toy_dataset(n0=50, n1=50)
-        scaled = apply_scaler(data.features, Scaling.ZSCORE,
+        scaled = apply_scaler(data.features,
                               fit_scaler(data.features, Scaling.ZSCORE, np.arange(data.n)))
         assert np.allclose(scaled.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(scaled.std(axis=0), 1.0, atol=1e-10)
@@ -272,7 +285,7 @@ class TestScaling:
     def test_held_out_rows_may_exceed_unit_interval(self):
         data = toy_dataset(n0=30, n1=30)
         fit_on = np.arange(40)
-        scaled = apply_scaler(data.features, Scaling.MINMAX,
+        scaled = apply_scaler(data.features,
                               fit_scaler(data.features, Scaling.MINMAX, fit_on))
         held = scaled[40:]
         assert held.max() > 1.0 or held.min() < 0.0
@@ -280,21 +293,33 @@ class TestScaling:
     def test_constant_feature_maps_to_zero_minmax(self):
         X = np.column_stack([np.full(6, 3.0), np.arange(6.0)])
         stats = fit_scaler(X, Scaling.MINMAX, np.arange(6))
-        out = apply_scaler(X, Scaling.MINMAX, stats)
+        out = apply_scaler(X, stats)
         assert (out[:, 0] == 0.0).all()
         assert np.isfinite(out).all()
 
     def test_constant_feature_finite_zscore(self):
         X = np.column_stack([np.full(6, 3.0), np.arange(6.0)])
         stats = fit_scaler(X, Scaling.ZSCORE, np.arange(6))
-        out = apply_scaler(X, Scaling.ZSCORE, stats)
+        out = apply_scaler(X, stats)
         assert np.isfinite(out).all()
 
     def test_none_is_identity(self):
         data = toy_dataset()
-        scaled = apply_scaler(data.features, Scaling.NONE,
+        scaled = apply_scaler(data.features,
                               fit_scaler(data.features, Scaling.NONE, np.arange(data.n)))
         assert np.array_equal(scaled, data.features)
+
+    def test_constant_column_maps_held_out_rows_to_plus_zero_minmax(self):
+        # held-out values below, at and above the constant value all give +0.0
+        X = np.column_stack([[3.0, 3.0, 3.0, 2.0, 3.0, 4.0], np.arange(6.0)])
+        out = apply_scaler(X, fit_scaler(X, Scaling.MINMAX, np.arange(3)))
+        assert (out[:, 0] == 0.0).all() and not np.signbit(out[:, 0]).any()
+
+    def test_none_returns_a_new_array_bit_for_bit(self):
+        X = np.array([[-0.0, 5e-324], [-1e308, 0.1]])
+        out = apply_scaler(X, fit_scaler(X, Scaling.NONE, np.arange(2)))
+        assert not np.shares_memory(out, X)
+        assert out.dtype == X.dtype and out.tobytes() == X.tobytes()
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError):
@@ -410,6 +435,10 @@ class TestRepeatedCv:
         a = repeated_cv(data, 3, 3, tfn, accuracy_metric, seed=11)
         b = repeated_cv(data, 3, 3, tfn, accuracy_metric, seed=11)
         assert a.fold_scores == b.fold_scores
+
+    def test_repeats_below_one_rejected(self):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            repeated_cv(toy_dataset(), 2, 0, None, accuracy_metric, seed=0)
 
     def test_cell_failure_is_annotated(self):
         data = toy_dataset(n0=6, n1=6)

@@ -34,6 +34,18 @@ class TestConfusion:
         with pytest.raises(ValueError, match="probs and truth"):
             scores([1, 0], [1])
 
+    @pytest.mark.parametrize("probs,truth,message", [
+        ([0.9, 0.1], [2, 0], "truth must hold only 0 and 1"),
+        ([0.9], [2], "truth must hold only 0 and 1"),
+        ([0.9, 0.1], [1, -1], "truth must hold only 0 and 1"),
+        ([np.nan, 0.2], [0, 0], "probs must be probabilities"),
+        ([1.7, -0.3], [1, 0], "probs must be probabilities"),
+        ([0.5, np.inf], [1, 0], "probs must be probabilities"),
+    ], ids=["label_2", "only_label_2", "label_-1", "nan_prob", "probs_outside_0_1", "inf_prob"])
+    def test_bad_values_rejected(self, probs, truth, message):
+        with pytest.raises(ValueError, match=message):
+            scores(probs, truth)
+
 
 class TestConditionalAccuracy:
     def test_per_class(self):
@@ -45,6 +57,10 @@ class TestConditionalAccuracy:
     def test_absent_class_is_an_error(self):
         with pytest.raises(ValueError, match="undefined conditional accuracy"):
             conditional_accuracy([1, 1], [1, 1], 0)
+
+    def test_class_other_than_0_or_1_rejected(self):
+        with pytest.raises(ValueError, match="on_class must be 0 or 1"):
+            conditional_accuracy([1, 1], [1, 1], 2)
 
     def test_recombines_to_overall_accuracy(self):
         rng = np.random.default_rng(0)
@@ -92,6 +108,8 @@ class TestAuc:
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
             auc([], [0.5])
+        with pytest.raises(ValueError, match="both classes must be non-empty"):
+            auc_brute([0.5], [])
 
     @pytest.mark.parametrize("pos,neg", [([np.nan, 0.3], [0.1, 0.5]),
                                          ([0.3], [0.1, np.nan])])

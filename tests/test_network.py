@@ -243,8 +243,29 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(trace, model, np.zeros(5))
 
+    def test_trace_of_another_model_rejected(self):
+        trace = forward(build_boundary_model(2, seed=0), np.zeros((3, 2)))
+        other = build_mlp(2, [(1, Activation.SIGMOID, 0.0)], seed=0)
+        with pytest.raises(ValueError, match="trace/model layer count mismatch"):
+            backward(trace, other, np.zeros(3))
+
 
 class TestBuilders:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Layer(np.zeros((2, 3)), np.zeros(3), Activation.SIGMOID),
+         "weights/biases shape mismatch"),
+        (lambda: Layer(np.array([[np.nan]]), np.zeros(1), Activation.SIGMOID),
+         "non-finite parameters"),
+        (lambda: MlpModel([Layer(np.zeros((4, 2)), np.zeros(4), Activation.RELU),
+                           Layer(np.zeros((1, 3)), np.zeros(1), Activation.SIGMOID)]),
+         "incompatible consecutive layer dimensions"),
+        (lambda: build_mlp(0, [(1, Activation.SIGMOID, 0.0)], seed=0),
+         "input_dim must be >= 1"),
+    ], ids=["shape_mismatch", "non_finite", "layer_dims", "input_dim"])
+    def test_malformed_model_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_experiment_model_parameter_count(self):
         model = build_experiment_model(60, seed=0)
         total = sum(p.size for p in model.parameters())

@@ -126,6 +126,14 @@ class TestVerifySubgradient:
         with pytest.raises(ValueError):
             verify_subgradient(lambda th: 0.0, [0.0], [0.0], [])
 
+    @pytest.mark.parametrize("f,message", [
+        (lambda th: math.inf if th[0] == 0.0 else 0.0, r"f\(theta0\) is non-finite"),
+        (lambda th: math.nan if th[0] == 1.0 else 0.0, "non-finite probe evaluation"),
+    ], ids=["at_theta0", "at_a_probe"])
+    def test_non_finite_evaluation_rejected(self, f, message):
+        with pytest.raises(ValueError, match=message):
+            verify_subgradient(f, [0.0], [0.0], [[-1.0], [1.0]])
+
 
 class TestTrainLoop:
     @staticmethod
@@ -151,6 +159,12 @@ class TestTrainLoop:
     def test_no_models_rejected(self):
         with pytest.raises(ValueError, match="at least one model"):
             train_models([], [], [], LossParams(), OptimizerConfig(), 1, 4, [])
+
+    def test_one_training_set_and_generator_per_model(self):
+        X, y = self.toy_data()
+        with pytest.raises(ValueError, match="one training set and one generator per model"):
+            train_models([build_boundary_model(3, seed=0)], [X, X], [y], LossParams(),
+                         OptimizerConfig(), 1, 4, [np.random.default_rng(0)])
 
     def test_labels_outside_0_1_rejected_before_training(self):
         model = build_boundary_model(3, seed=0)

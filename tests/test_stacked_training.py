@@ -525,8 +525,8 @@ class TestMemory:
         scaled = []
         real_apply = data_pipeline.apply_scaler
 
-        def recording_apply(X, method, stats):
-            out = real_apply(X, method, stats)
+        def recording_apply(X, stats):
+            out = real_apply(X, stats)
             scaled.append(weakref.ref(out))
             return out
 
