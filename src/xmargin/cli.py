@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config, validate
+from .config import ConfigError, ExperimentConfig, load_config, member, validate
 from .data_pipeline import (Dataset, apply_scaler, fit_scaler, load_csv, repeated_cv,
                             stratified_split)
 from .loss_core import LossFamily, LossParams, branches, hard_labels, loss_and_grad_vec, pieces
@@ -255,10 +255,11 @@ def cmd_loss_curve(cfg: ExperimentConfig, y_true: int, samples: int) -> dict:
 
 
 def parse_variant(spec: str) -> LossParams:
-    """'xm:L1:L2', 'bce', or 'hinge'."""
+    """'xm:L1:L2', 'bce', or 'hinge': a family as a config names it, or `xm`."""
     parts = spec.split(":")
     try:
-        family = LossFamily.parse(parts[0])
+        family = (LossFamily.XTREME_MARGIN if parts[0].strip().lower() == "xm"
+                  else member(LossFamily, parts[0]))
         lambdas = [float(v) for v in parts[1:]]
         if family is LossFamily.XTREME_MARGIN and len(lambdas) == 2:
             return LossParams(*lambdas, family)

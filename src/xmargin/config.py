@@ -7,6 +7,7 @@ reporting so a bad config fails with the full list at once.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -62,12 +63,22 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"not a boolean: {v!r}")
 
 
+def member(kind: type[enum.Enum], text: str) -> enum.Enum:
+    """The member of `kind` whose value `text` names, in any case and with
+    '-' for '_'."""
+    try:
+        return kind(text.strip().lower().replace("-", "_"))
+    except ValueError:
+        raise ValueError(f"{text!r} is not one of "
+                         + ", ".join(m.value for m in kind)) from None
+
+
 # each key's parser, from its field's annotation (a string under
 # `from __future__ import annotations`)
-_PARSERS = {f.name: {"str": str, "int": int, "int | None": int, "float": float,
-                     "bool": _parse_bool, "LossFamily": LossFamily.parse,
-                     "Method": Method.parse, "Scaling": Scaling.parse}[f.type]
-            for f in fields(ExperimentConfig)}
+_BY_TYPE = {"str": str, "int": int, "int | None": int, "float": float, "bool": _parse_bool,
+            **{kind.__name__: functools.partial(member, kind)
+               for kind in (LossFamily, Method, Scaling)}}
+_PARSERS = {f.name: _BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
 
 def _parse_item(item: str, where: str, key_kind: str = "key") -> tuple:

@@ -23,13 +23,6 @@ class Scaling(enum.Enum):
     MINMAX = "minmax"
     ZSCORE = "zscore"
 
-    @classmethod
-    def parse(cls, name: str) -> "Scaling":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown scaling method: {name!r}") from None
-
 
 class ConfigError(ValueError):
     """A setting that is malformed or does not fit the data (exit 1), raised where found."""

@@ -28,22 +28,6 @@ class LossFamily(enum.Enum):
     BCE = "bce"
     HINGE = "hinge"
 
-    @classmethod
-    def parse(cls, name: str) -> "LossFamily":
-        key = name.strip().lower().replace("-", "_")
-        aliases = {
-            "xtreme_margin": cls.XTREME_MARGIN,
-            "xm": cls.XTREME_MARGIN,
-            "xtrememargin": cls.XTREME_MARGIN,
-            "bce": cls.BCE,
-            "binary_cross_entropy": cls.BCE,
-            "binarycrossentropy": cls.BCE,
-            "hinge": cls.HINGE,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown loss family: {name!r}")
-        return aliases[key]
-
 
 class Branch(enum.Enum):
     """Which piece of the Xtreme Margin definition fired."""

@@ -22,19 +22,6 @@ class Method(enum.Enum):
     SUBGRADIENT = "subgradient"
     RMSPROP = "rmsprop"
 
-    @classmethod
-    def parse(cls, name: str) -> "Method":
-        key = name.strip().lower().replace("-", "_")
-        aliases = {
-            "subgradient": cls.SUBGRADIENT,
-            "subgradient_descent": cls.SUBGRADIENT,
-            "sgd_sub": cls.SUBGRADIENT,
-            "rmsprop": cls.RMSPROP,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown optimizer method: {name!r}")
-        return aliases[key]
-
 
 # RMSprop's constants as the rule was introduced (Tieleman & Hinton, 2012,
 # lecture 6.5): the accumulator's decay, and the stabiliser added to its root

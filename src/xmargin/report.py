@@ -31,6 +31,8 @@ def _fmt(value) -> str:
         return repr(value)
     if value is None:
         return "null"
+    if isinstance(value, str) and value and value.splitlines() != [value]:
+        return repr(value)  # a line break would start a line of its own
     return str(value)
 
 

@@ -1,5 +1,9 @@
+import ast
+import dataclasses
 import math
 import os
+import pathlib
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +22,7 @@ from xmargin.data_pipeline import Scaling, apply_scaler, fit_scaler
 from xmargin.loss_core import Branch, LossFamily, LossParams, branches
 from xmargin.metrics import scores
 from xmargin.network import build_boundary_model
-from xmargin.optimizer import OptimizerConfig, train
+from xmargin.optimizer import Method, OptimizerConfig, train
 from xmargin.report import (Indexed, _fmt, atomic_write, render_report, write_csv,
                             write_report)
 
@@ -74,7 +78,29 @@ def no_training(monkeypatch):
         monkeypatch.setattr(cli_mod, name, no_training)
 
 
+REPO = pathlib.Path(__file__).resolve().parents[1]
+PRESETS = sorted(p.name for p in (REPO / "presets").glob("*.cfg"))
+
+# each enum-valued key, every member of its enum, and a spelling of the member
+# in mixed case and one in upper case with '-' for '_'
+ENUM_SPELLINGS = [(key, m, spelling)
+                  for key, kind in {"loss_family": LossFamily, "optimizer": Method,
+                                    "scaling": Scaling}.items()
+                  for m in kind
+                  for spelling in (m.value.title(), m.value.upper().replace("_", "-"))]
+
+
 class TestConfigParsing:
+    @pytest.mark.parametrize("key,value,spelling", ENUM_SPELLINGS,
+                             ids=[f"{key}={spelling}" for key, _, spelling in ENUM_SPELLINGS])
+    def test_enum_value_in_any_case_or_dash_form(self, workspace, key, value, spelling):
+        assert getattr(load_config(workspace["cfg"], [f"{key}={spelling}"]), key) is value
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_preset_loads_and_validates(self, monkeypatch, preset):
+        monkeypatch.chdir(REPO)  # a preset names its dataset relative to the repository
+        validate(load_config(f"presets/{preset}"))
+
     def test_round_trip_with_comments(self):
         values = parse_config_text("# comment\nlambda1 = 2.5  # inline\n\nseed=3\n")
         assert values == {"lambda1": 2.5, "seed": 3}
@@ -181,6 +207,23 @@ class TestReportRendering:
         (np.bool_(False), "false")], ids=repr)
     def test_numpy_scalar_is_written_as_its_python_scalar(self, scalar, text):
         assert _fmt(scalar) == _fmt(scalar.item()) == text
+
+    @pytest.mark.parametrize("command,key", [("loss-curve", "output_dir"),
+                                             ("train", "dataset")])
+    def test_a_line_break_in_a_config_string_adds_no_report_key(self, workspace,
+                                                                command, key):
+        value = str(workspace["tmp"] / "x\n  fake: 1")
+        if key == "dataset":
+            shutil.copy(workspace["data"], value)  # a file name may hold a line break
+        assert main([command, "--config", str(workspace["cfg"]),
+                     "--override", f"{key}={value}"]) == 0
+        out = value if key == "output_dir" else workspace["out"]
+        lines = (pathlib.Path(out) / "report.txt").read_text().splitlines()
+        start = lines.index("config:") + 1
+        end = next(i for i in range(start, len(lines)) if not lines[i].startswith("  "))
+        echoed = dict(line[2:].split(": ", 1) for line in lines[start:end])
+        assert list(echoed) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert ast.literal_eval(echoed[key]) == value
 
     def test_csv_repr_floats(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -342,6 +385,13 @@ class TestVariantParsing:
     def test_baselines(self):
         assert parse_variant("bce").family is LossFamily.BCE
         assert parse_variant("hinge").family is LossFamily.HINGE
+
+    @pytest.mark.parametrize("spec,params", [
+        ("XM:1:2", LossParams(1.0, 2.0)), ("Xtreme-Margin:1:2", LossParams(1.0, 2.0)),
+        ("BCE", LossParams(family=LossFamily.BCE)),
+        ("Hinge", LossParams(family=LossFamily.HINGE))])
+    def test_family_in_any_case_or_dash_form(self, spec, params):
+        assert parse_variant(spec) == params
 
     def test_malformed(self):
         with pytest.raises(ConfigError):
@@ -523,17 +573,20 @@ class TestExitCodes:
 MISSING = None  # the key left out of the config
 
 # each config key -> its bad values: missing, empty, negative, NaN, +-inf, the
-# wrong type and values that do not fit the toy data (20 rows per class, four
-# features, the label in column 4), as they apply to the key
+# wrong type, spellings of an enum value that are not its value (the loss
+# family's `xm` is only a --variants shorthand), and values that do not fit the
+# toy data (20 rows per class, four features, the label in column 4), as they
+# apply to the key
 BAD_CONFIG_VALUES = {
     "dataset": [MISSING, "", "/no/such.csv", "{tmp}"],
     "label_column": ["", "-99", "nan", "inf", "1.5", "99", "0"],
     "default_label": ["Q"],
     "header": ["", "-1", "maybe"],
-    "loss_family": ["", "-1", "nope"],
+    "loss_family": ["", "-1", "nope", "xtrememargin", "binary_cross_entropy",
+                    "binarycrossentropy", "xm"],
     "lambda1": ["", "-1", "nan", "inf", "-inf", "x"],
     "lambda2": ["", "-1", "nan", "inf", "-inf", "x"],
-    "optimizer": ["", "-1", "nope"],
+    "optimizer": ["", "-1", "nope", "subgradient_descent", "sgd_sub"],
     "alpha": ["", "-1", "nan", "inf", "-inf", "x"],
     "epochs": ["", "0", "-1", "nan", "inf", "1.5"],
     "batch_size": ["", "0", "-1", "nan", "inf", "1.5"],

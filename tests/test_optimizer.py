@@ -45,12 +45,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(**bad)
 
-    def test_method_parse(self):
-        assert Method.parse("subgradient-descent") is Method.SUBGRADIENT
-        assert Method.parse("RMSprop") is Method.RMSPROP
-        with pytest.raises(ValueError):
-            Method.parse("adam")
-
 
 class TestSubgradientStep:
     # a one-parameter model's flat layout is [weight, bias]
