@@ -245,6 +245,9 @@ def written(path, header, columns) -> bytes:
 
 FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
     [-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.225073858507201e-308])
+# 1e-4 and 1e16 and their neighbours: where repr's notation turns to an exponent
+NOTATION_EDGES = [sign * x for edge in (1e-4, 1e16) for sign in (1.0, -1.0)
+                  for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf))]
 SCALARS = st.one_of(
     st.none(), st.text(), st.booleans(), st.integers(), FLOATS, FLOATS.map(np.float64),
     st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
@@ -271,9 +274,21 @@ class TestColumnWriter:
         floats[::97] = np.resize(specials, len(floats[::97]))
         mixed = [("ok", None, 7, np.float64(0.25), np.int64(-3), "N/A")[i % 6]
                  for i in range(n)]
-        columns = [floats, rng.integers(-10**15, 10**15, n), rng.random(n) < 0.5, mixed]
-        header = ["f", "i", "b", "mixed"]
+        # a strided float column, as boundary_points.csv passes feats[:, 0]
+        feats = np.column_stack([rng.random(n), floats])
+        columns = [floats, rng.integers(-10**15, 10**15, n), rng.random(n) < 0.5, mixed,
+                   feats[:, 0]]
+        header = ["f", "i", "b", "mixed", "strided"]
         assert written(tmp_path / "t.csv", header, columns) == row_csv(header, zip(*columns))
+
+    @given(st.lists(st.floats() | st.sampled_from(NOTATION_EDGES), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_float_cells_are_repr_bytes(self, tmp_path_factory, values):
+        # float cells are formatted in bulk; each must still read as its repr,
+        # across the ranges where the bulk formatter's notation differs from it
+        column = np.array(values, dtype=np.float64)
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        assert written(path, ["f"], [column]) == row_csv(["f"], zip(column))
 
     @given(st.lists(FLOATS, min_size=1, max_size=4).flatmap(
         lambda pool: st.tuples(st.just(pool), st.lists(st.integers(0, len(pool) - 1),
@@ -304,8 +319,11 @@ class TestColumnWriter:
         values[:4] = [np.float32(0.1), -0.0, np.nan, np.float32(3e-45)]
         index = rng.integers(0, len(values), 5000)
         column = values[index]
-        assert (written(tmp_path / "t.csv", ["g", "f"], [Indexed(values, index), column])
-                == row_csv(["g", "f"], zip(column, column)))
+        half = column.astype(np.float16)
+        half[:3] = [np.float16(6e-8), np.float16(65504), np.inf]  # a subnormal, the max
+        header = ["g", "f", "h"]
+        assert (written(tmp_path / "t.csv", header, [Indexed(values, index), column, half])
+                == row_csv(header, zip(column, column, half)))
 
     @pytest.mark.parametrize("n", [0, 4095, 4096, 4097, 2 * 4096 + 1])
     def test_grid_axes_across_block_edges(self, tmp_path, n):
@@ -336,6 +354,13 @@ class TestColumnWriter:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_importing_the_cli_does_not_import_orjson(self):
+        # only a command that writes a float column pays for the import
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
+        code = "import sys, xmargin.cli; sys.exit('orjson' in sys.modules)"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_atomic_write_is_utf8_under_an_ascii_locale(self, tmp_path):
         text = "output_dir: out/ünïcødé/résumé ✓ 数据\n"
