@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config, member, validate
-from .data_pipeline import (Dataset, apply_scaler, fit_scaler, load_csv, repeated_cv,
-                            stratified_split)
+from .data_pipeline import (DRAWS, INIT, MEMBER, MODEL, SPLIT, Dataset, apply_scaler,
+                            fit_scaler, load_csv, repeated_cv, stratified_split, stream)
 from .loss_core import LossFamily, LossParams, branches, hard_labels, loss_and_grad_vec, pieces
 from .metrics import LabelConfidence, bias_estimate, conditional_risk, scores
 from .network import build_boundary_model, build_experiment_model, predict_proba
@@ -40,12 +40,12 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
                     default_class_raw_label=cfg.default_label or None, header=cfg.header)
 
 
-def _fit(build, cfg: ExperimentConfig, X, y, seed: int, **eval_data):
-    """Train `build(X.shape[1], seed)` with cfg's loss, optimizer, epochs and
-    batch size, shuffling and dropping out with a generator seeded by `seed`."""
-    return train_loop(build(X.shape[1], seed), X, y, cfg.loss_params(),
+def _fit(build, cfg: ExperimentConfig, X, y, seed, *path, **eval_data):
+    """Train `build(X.shape[1], stream(seed, *path, INIT))` with cfg's loss, optimizer,
+    epochs and batch size, shuffling and dropping out with `stream(seed, *path, DRAWS)`."""
+    return train_loop(build(X.shape[1], stream(seed, *path, INIT)), X, y, cfg.loss_params(),
                       cfg.optimizer_config(), epochs=cfg.epochs, batch_size=cfg.batch_size,
-                      rng=np.random.default_rng(seed), **eval_data)
+                      rng=np.random.default_rng(stream(seed, *path, DRAWS)), **eval_data)
 
 
 # Parameters trained as one stack: five models of the sonar experiment (6657
@@ -61,23 +61,23 @@ STACK_PARAMS = 5 * 6657
 
 
 def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds):
-    """`_fit` for many (X, y, seed), in order: yields one TrainResult per
-    seed. The models are trained in stacks of at most STACK_PARAMS
-    parameters, and each (X, y, seed) is read when its stack is built, so
-    neither the memory that training takes nor the training data held at
-    once grows with their number. A stack that fails raises its error, which
-    names the model by its index in that stack, when the stack is reached."""
+    """`_fit` for many (X, y, seed), in order, each seed a model's stream whose INIT and
+    DRAWS children seed its weights and its training: yields one TrainResult per seed.
+    The models are trained in stacks of at most STACK_PARAMS parameters, and each (X, y,
+    seed) is read when its stack is built, so neither the memory that training takes nor
+    the training data held at once grows with their number. A stack that fails raises,
+    when it is reached, its error, which names the model by its index in the stack."""
 
     def train(stack):
         models, part_Xs, part_ys, part_seeds = zip(*stack)
         return train_models(list(models), part_Xs, part_ys, cfg.loss_params(),
                             cfg.optimizer_config(), epochs=cfg.epochs,
                             batch_size=cfg.batch_size,
-                            rngs=[np.random.default_rng(seed) for seed in part_seeds])
+                            rngs=[np.random.default_rng(stream(s, DRAWS)) for s in part_seeds])
 
     stack = []
     for X, y, seed in zip(Xs, ys, seeds):
-        stack.append((build(X.shape[1], seed), X, y, seed))
+        stack.append((build(X.shape[1], stream(seed, INIT)), X, y, seed))
         if (len(stack) + 1) * stack[0][0].flat.size > STACK_PARAMS:  # full
             yield from train(stack)
             stack = []
@@ -112,7 +112,7 @@ def _cv(cfg: ExperimentConfig, data: Dataset):
 def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
     """(Xtr, ytr, Xte, yte, test_idx), scaled by training-row statistics; a
     test_fraction that leaves a class no training row raises a ConfigError."""
-    train_idx, test_idx = stratified_split(data, cfg.test_fraction, cfg.seed)
+    train_idx, test_idx = stratified_split(data, cfg.test_fraction, stream(cfg.seed, SPLIT))
     stats = fit_scaler(data.features, cfg.scaling, train_idx)
     X = apply_scaler(data.features, stats)
     return (X[train_idx], data.labels[train_idx], X[test_idx], data.labels[test_idx],
@@ -126,7 +126,7 @@ def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
 def cmd_train(cfg: ExperimentConfig) -> dict:
     data = _load_dataset(cfg)
     Xtr, ytr, Xte, yte, _ = _split_and_scale(cfg, data)
-    result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed, eval_X=Xte, eval_y=yte)
+    result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed, MODEL, eval_X=Xte, eval_y=yte)
     write_csv(os.path.join(cfg.output_dir, "curves.csv"),
               ["epoch", "train_loss", "train_acc", "test_acc"],
               list(zip(*map(dataclasses.astuple, result.history))))
@@ -203,7 +203,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
     feats = data.features[:, [f1, f2]]
     stats = fit_scaler(feats, cfg.scaling, np.arange(len(feats)))
     X = apply_scaler(feats, stats)
-    result = _fit(build_boundary_model, cfg, X, data.labels, cfg.seed)
+    result = _fit(build_boundary_model, cfg, X, data.labels, cfg.seed, MODEL)
 
     lo = feats.min(axis=0)
     hi = feats.max(axis=0)
@@ -280,7 +280,7 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
     Xtr, ytr, Xte, yte, _ = _split_and_scale(cfg, data)
     rows = []
     warnings = []
-    seeds = [cfg.seed + 7919 * (member + 1) for member in range(ensemble_size)]
+    seeds = [stream(cfg.seed, MEMBER, m) for m in range(ensemble_size)]
     for params in variants:
         variant_cfg = dataclasses.replace(cfg, loss_family=params.family,
                                           lambda1=params.lambda1, lambda2=params.lambda2)
@@ -326,7 +326,7 @@ def cmd_risk(cfg: ExperimentConfig, confidence: LabelConfidence | None,
         p0 = 1.0 - p1
     else:
         p0, p1 = confidence.p0, confidence.p1
-    result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed)
+    result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed, MODEL)
     probs = predict_proba(result.model, Xte)
     risk = conditional_risk(probs, p0, p1, cfg.loss_params())
     write_csv(os.path.join(cfg.output_dir, "risk.csv"),

@@ -156,7 +156,21 @@ def apply_scaler(features: np.ndarray, stats: tuple) -> np.ndarray:
     return np.where(constant, 0.0, (features - shift) / scale)
 
 
-def stratified_kfold(data: Dataset, k: int, seed: int) -> np.ndarray:
+# Stream paths below a run seed, one per draw: (SPLIT,) the train/test split, (PARTITION, r)
+# repeat r's folds, (CELL, r, f) a CV cell's model, (MEMBER, m) a bias member's, (MODEL,)
+# that of train, boundary and risk; + (INIT,) a model's weights, + (DRAWS,) its training.
+SPLIT, PARTITION, CELL, MEMBER, MODEL = range(5)
+INIT, DRAWS = range(2)
+
+
+def stream(seed: int | np.random.SeedSequence, *path: int) -> np.random.SeedSequence:
+    """The stream at `path` below a run seed or a stream, whose spawn_key it extends."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed, path = seed.entropy, seed.spawn_key + path
+    return np.random.SeedSequence(seed, spawn_key=path)
+
+
+def stratified_kfold(data: Dataset, k: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Each instance's fold index in a deterministic stratified partition:
     shuffle each class with the seed and deal round-robin, so per-fold class
     counts are balanced to within 1. A class smaller than k is a ConfigError."""
@@ -174,7 +188,7 @@ def stratified_kfold(data: Dataset, k: int, seed: int) -> np.ndarray:
 
 
 def stratified_split(data: Dataset, test_fraction: float,
-                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+                     seed: int | np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray]:
     """Index split into (train, test) preserving class proportions; a
     test_fraction that leaves a class no training row is a ConfigError."""
     if not (0.0 < test_fraction < 1.0):
@@ -215,19 +229,19 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
                 seed: int, scaling: Scaling = Scaling.ZSCORE) -> CvReport:
     """Repeated stratified k-fold cross-validation.
 
-    Per repeat r a fresh fold partition is drawn with seed ``seed ^ r``; for
-    each fold, scaling is fitted on the k-1 training folds. Every cell is handed
-    to one ``train_fn(train_Xs, train_ys, cell_seeds)`` call, as iterables
-    in (repeat, fold) order; ``train_Xs`` can be read once, and scales a
-    cell's training rows when they are read, so a ``train_fn`` that reads
-    its cells a few at a time holds only those. It returns an iterable (a
-    list, or an iterator that trains as it is read) with per cell a
-    predictor (callable X -> probability vector), and
-    ``metric_fn(predictor, X, y)`` scores each held-out fold as its
-    predictor arrives, which is then let go. The first failed cell in
-    (repeat, fold) order is reported: an exception raised while reading the
-    iterable fails the cell whose predictor it was to give, the first cell
-    when raised by the call itself.
+    Repeat r's folds are drawn from ``stream(seed, PARTITION, r)``; cell (r, f)
+    has seed ``stream(seed, CELL, r, f)`` and scaling fitted on its k-1
+    training folds. Every cell is handed to one ``train_fn(train_Xs, train_ys,
+    cell_seeds)`` call, as iterables in (repeat, fold) order; ``train_Xs`` can
+    be read once, and scales a cell's training rows when they are read, so a
+    ``train_fn`` that reads its cells a few at a time holds only those. It
+    returns an iterable (a list, or an iterator that trains as it is read) with
+    per cell a predictor (callable X -> probability vector), and
+    ``metric_fn(predictor, X, y)`` scores each held-out fold as its predictor
+    arrives, which is then let go. The first failed cell in (repeat, fold)
+    order is reported: an exception raised while reading the iterable fails the
+    cell whose predictor it was to give, the first cell when raised by the call
+    itself.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -235,14 +249,14 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
     cells = []  # (repeat, fold, training rows, held-out mask, fitted scaler)
     train_ys, seeds = [], []
     for r in range(repeats):
-        folds = stratified_kfold(data, k, seed ^ r)
+        folds = stratified_kfold(data, k, stream(seed, PARTITION, r))
         for fold in range(k):
             test_mask = folds == fold
             train_idx = np.flatnonzero(~test_mask)
             stats = fit_scaler(data.features, scaling, train_idx)
             cells.append((r, fold, train_idx, test_mask, stats))
             train_ys.append(data.labels[train_idx])
-            seeds.append((seed ^ r) * 1000 + fold)
+            seeds.append(stream(seed, CELL, r, fold))
     train_Xs = (apply_scaler(data.features[train_idx], stats)
                 for _, _, train_idx, _, stats in cells)
 

@@ -255,7 +255,7 @@ def _glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.n
 
 
 def build_mlp(input_dim: int, spec: list[tuple[int, Activation, float]],
-              seed: int) -> MlpModel:
+              seed: int | np.random.SeedSequence) -> MlpModel:
     """Build a seeded model from (width, activation, dropout_rate) triples."""
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
@@ -273,7 +273,7 @@ def build_mlp(input_dim: int, spec: list[tuple[int, Activation, float]],
     return MlpModel(layers=layers)
 
 
-def build_experiment_model(input_dim: int, seed: int) -> MlpModel:
+def build_experiment_model(input_dim: int, seed: int | np.random.SeedSequence) -> MlpModel:
     """The fixed experiment architecture:
     64 relu + drop .25, 32 sigmoid + drop .25, 16 relu + drop .25,
     8 relu, 1 sigmoid."""
@@ -286,7 +286,7 @@ def build_experiment_model(input_dim: int, seed: int) -> MlpModel:
     ], seed)
 
 
-def build_boundary_model(input_dim: int, seed: int) -> MlpModel:
+def build_boundary_model(input_dim: int, seed: int | np.random.SeedSequence) -> MlpModel:
     """Shallow net used for 2-feature decision-boundary pictures."""
     return build_mlp(input_dim, [
         (8, Activation.RELU, 0.0),

@@ -15,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xmargin
+from xmargin import cli
 from xmargin.cli import _accuracy_metric, main, parse_variant
 from xmargin.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text, validate)
-from xmargin.data_pipeline import Scaling, apply_scaler, fit_scaler
+from xmargin.data_pipeline import (CELL, DRAWS, INIT, MEMBER, MODEL, PARTITION, SPLIT,
+                                   Scaling, apply_scaler, fit_scaler, repeated_cv, stream)
 from xmargin.loss_core import Branch, LossFamily, LossParams, branches
 from xmargin.metrics import scores
-from xmargin.network import build_boundary_model
+from xmargin.network import build_boundary_model, build_experiment_model
 from xmargin.optimizer import Method, OptimizerConfig, train
 from xmargin.report import (Indexed, _fmt, atomic_write, render_report, write_csv,
                             write_report)
@@ -795,7 +797,105 @@ class TestCvCommand:
         assert report.count("repeat_means") == 1
 
 
+class RecordingGenerator:
+    """A numpy Generator that keeps its seed and the uniforms its `uniform`
+    and `random` draws were made of."""
+
+    def __init__(self, seed, generator):
+        self.seed, self.generator = seed, generator
+        self.uniforms, self.randoms = [], []
+
+    def uniform(self, low, high, size):
+        out = self.generator.uniform(low, high, size)
+        self.uniforms.append((out - low) / (high - low))
+        return out
+
+    def random(self, size):
+        out = self.generator.random(size)
+        self.randoms.append(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+
+def record_generators(monkeypatch) -> list[RecordingGenerator]:
+    """From now on, every generator `np.random.default_rng` makes, in order."""
+    made, real = [], np.random.default_rng
+
+    def default_rng(seed=None):
+        made.append(RecordingGenerator(seed, real(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
+
+
+class TestStreams:
+    """Every random draw takes its generator from its own documented stream
+    path below the run seed (7 in the workspace config)."""
+
+    @pytest.mark.parametrize("args,paths", [
+        (["train"], [(SPLIT,), (MODEL, INIT), (MODEL, DRAWS)]),
+        (["boundary", "--resolution", "2"], [(MODEL, INIT), (MODEL, DRAWS)]),
+        (["risk", "--confidence", "0.25,0.75"], [(SPLIT,), (MODEL, INIT), (MODEL, DRAWS)]),
+        (["cv"], [(PARTITION, 0), (PARTITION, 1)]
+                 + [(CELL, r, f, child) for r in range(2) for f in range(2)
+                    for child in (INIT, DRAWS)]),
+        (["bias", "--variants", "bce", "--ensemble-size", "3"],
+         [(SPLIT,)] + [(MEMBER, m, child) for m in range(3) for child in (INIT, DRAWS)]),
+    ], ids=["train", "boundary", "risk", "cv", "bias"])
+    def test_no_two_draws_share_a_path(self, workspace, monkeypatch, args, paths):
+        made = record_generators(monkeypatch)
+        assert main([args[0], "--config", str(workspace["cfg"]), *args[1:]]) == 0
+        assert all(isinstance(g.seed, np.random.SeedSequence) and g.seed.entropy == 7
+                   for g in made)
+        keys = [g.seed.spawn_key for g in made]
+        assert len(set(keys)) == len(keys)
+        assert sorted(keys) == sorted(paths)
+
+    @pytest.mark.parametrize("many", [False, True], ids=["_fit", "_fit_many"])
+    def test_initial_weights_and_dropout_draws_share_no_uniforms(self, workspace,
+                                                                 monkeypatch, many):
+        cfg = load_config(str(workspace["cfg"]), ["epochs=1"])
+        data = cli._load_dataset(cfg)
+        made = record_generators(monkeypatch)
+        if many:
+            list(cli._fit_many(build_experiment_model, cfg, [data.features], [data.labels],
+                               [stream(cfg.seed, CELL, 0, 0)]))
+        else:
+            cli._fit(build_experiment_model, cfg, data.features, data.labels, cfg.seed, MODEL)
+        init, draws = made  # the model's generator, then its training's
+        glorot = np.sort(np.concatenate([u.ravel() for u in init.uniforms]))
+        dropout = draws.randoms[0].ravel()  # epoch 1's
+        assert glorot.size == 4 * 64 + 64 * 32 + 32 * 16 + 16 * 8 + 8
+        assert dropout.size == 40 * 112
+        # the nearest Glorot uniform to each dropout uniform: one stream for
+        # both would give thousands of equal pairs, two streams none
+        i = np.clip(np.searchsorted(glorot, dropout), 1, glorot.size - 1)
+        gap = np.minimum(np.abs(dropout - glorot[i - 1]), np.abs(dropout - glorot[i]))
+        assert np.count_nonzero(gap < 1e-12) == 0
+
+
 class TestGridCommand:
+    def test_cells_of_equal_lambdas_are_paired(self, workspace, monkeypatch):
+        reports = []
+
+        def recording_cv(*args, **kwargs):
+            reports.append(repeated_cv(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "repeated_cv", recording_cv)
+        made = record_generators(monkeypatch)
+        assert main(["grid", "--config", str(workspace["cfg"]),
+                     "--lambda-grid", "1,1;1,1"]) == 0
+        rows = (workspace["out"] / "grid.csv").read_text().splitlines()
+        assert len(rows) == 3 and rows[1] == rows[2] and rows[1].endswith(",ok")
+        assert len(reports) == 2 and reports[0].fold_scores == reports[1].fold_scores
+        # each cell draws from the same tree of streams
+        paths = [(g.seed.entropy, g.seed.spawn_key) for g in made]
+        assert len(paths) == 2 * 10 and paths[:10] == paths[10:]
+
     def test_grid_csv_and_argmax(self, workspace):
         assert main(["grid", "--config", str(workspace["cfg"]),
                      "--override", "repeats=1",

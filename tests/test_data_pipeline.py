@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xmargin.data_pipeline import (ConfigError, CvReport, Dataset, IngestionError,
-                                   LabelChoiceError, Scaling, apply_scaler, fit_scaler,
-                                   load_csv, repeated_cv, stratified_kfold, stratified_split)
+from xmargin.data_pipeline import (CELL, PARTITION, ConfigError, CvReport, Dataset,
+                                   IngestionError, LabelChoiceError, Scaling, apply_scaler,
+                                   fit_scaler, load_csv, repeated_cv, stratified_kfold,
+                                   stratified_split, stream)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -449,6 +450,28 @@ class TestRepeatedCv:
         with pytest.raises(RuntimeError, match=r"repeat 0, fold 0"):
             repeated_cv(data, 2, 1, bad_fn, accuracy_metric, seed=0)
 
+    def test_each_repeat_draws_its_folds_from_its_own_stream(self):
+        # feature 0 is the row index, unscaled, so a cell's training matrix
+        # names the rows of its partition
+        base = toy_dataset(n0=9, n1=9)
+        data = Dataset(features=np.arange(float(base.n))[:, None], labels=base.labels,
+                       default_class_raw_label="pos")
+        cells = []
+
+        def fn(Xs, ys, cell_seeds):
+            cells.extend((X[:, 0].astype(int), s) for X, s in zip(Xs, cell_seeds))
+            return [lambda Xe: np.full(len(Xe), 0.75) for _ in cells]
+
+        repeated_cv(data, 3, 3, fn, accuracy_metric, seed=12, scaling=Scaling.NONE)
+        assert len(cells) == 9
+        for i, (rows, seed) in enumerate(cells):
+            r, f = divmod(i, 3)
+            folds = stratified_kfold(data, 3, stream(12, PARTITION, r))
+            assert np.array_equal(rows, np.flatnonzero(folds != f)), (r, f)
+            assert (seed.entropy, seed.spawn_key) == (12, (CELL, r, f))
+        # the three repeats draw three partitions
+        assert len({tuple(rows) for rows, _ in cells}) == 9
+
     def test_scaling_fitted_without_leakage(self):
         # the scaled training matrix handed to train_fn must not depend on
         # values in the held-out fold
@@ -463,7 +486,7 @@ class TestRepeatedCv:
 
         repeated_cv(base, 2, 1, recording_fn("a"), accuracy_metric,
                     seed=4, scaling=Scaling.MINMAX)
-        folds = stratified_kfold(base, 2, seed=4 ^ 0)
+        folds = stratified_kfold(base, 2, seed=stream(4, PARTITION, 0))  # repeat 0's folds
         victim = int(np.flatnonzero(folds == 1)[0])
         perturbed_X = base.features.copy()
         perturbed_X[victim] += 1e6

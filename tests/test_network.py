@@ -300,6 +300,18 @@ class TestBuilders:
         for layer in model.layers:
             assert not layer.biases.any()
 
+    def test_experiment_model_weights_are_glorot_uniform(self):
+        # U(-limit, limit) has variance limit**2 / 3; the sample variance of n
+        # of its draws has a standard error of (4/45 / n)**0.5 * limit**2
+        models = [build_experiment_model(60, seed) for seed in range(200)]
+        for i, layer in enumerate(models[0].layers):
+            fan_out, fan_in = layer.weights.shape
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            weights = np.concatenate([m.layers[i].weights.ravel() for m in models])
+            assert np.abs(weights).max() <= limit, i
+            stderr = math.sqrt(4.0 / 45.0 / weights.size) * limit ** 2
+            assert abs(np.var(weights, ddof=1) - limit ** 2 / 3) <= 5 * stderr, i
+
     def test_final_layer_invariant(self):
         with pytest.raises(ValueError):
             MlpModel(layers=[Layer(np.zeros((2, 3)), np.zeros(2),

@@ -10,6 +10,7 @@ import functools
 import gc
 import math
 import os
+import re
 import tracemalloc
 import weakref
 
@@ -18,7 +19,7 @@ import pytest
 
 from xmargin import cli, data_pipeline, optimizer
 from xmargin.config import load_config
-from xmargin.data_pipeline import Dataset, repeated_cv
+from xmargin.data_pipeline import CELL, MEMBER, Dataset, repeated_cv, stream
 from xmargin.loss_core import LossParams, loss_and_grad_vec
 from xmargin.network import (Activation, Layer, MlpModel, Mode, backward,
                              build_boundary_model, build_experiment_model, dropout_keep,
@@ -87,15 +88,16 @@ def unequal_training_sets():
     return Xs, ys
 
 
-def stacked_fn(config, sabotage_seed=None):
+def stacked_fn(config, sabotage_path=None):
     """A repeated_cv train_fn training every cell of a call as one stack;
-    the model of `sabotage_seed` gets first-layer weights that overflow."""
+    the model whose seed has stream path `sabotage_path` gets first-layer
+    weights that overflow."""
 
     def fn(Xs, ys, seeds):
         Xs = list(Xs)  # read twice below; repeated_cv's train_Xs can be read once
         models = [build_experiment_model(X.shape[1], s) for X, s in zip(Xs, seeds)]
         for m, s in zip(models, seeds):
-            if s == sabotage_seed:
+            if s.spawn_key == sabotage_path:
                 m.layers[0].weights[...] = 1e308
         results = train_models(models, Xs, ys, LOSS, config, EPOCHS, BATCH,
                                [np.random.default_rng(s) for s in seeds])
@@ -338,32 +340,34 @@ class TestFailures:
     def test_stacked_cell_failure_names_its_cell(self):
         data = thirteen_rows()
         # the call trains all six cells as one stack, so the failure is the
-        # first cell's; cell (repeat 1, fold 0), seed (3 ^ 1) * 1000 + 0, is
+        # first cell's; cell (repeat 1, fold 0), stream path (CELL, 1, 0), is
         # model 3 of the stack
         with pytest.raises(RuntimeError, match=r"^CV cell failed at repeat 0, fold 0: "
                                                r"model 3: non-finite training loss"):
-            repeated_cv(data, 3, 2, stacked_fn(CONFIGS["rmsprop"], sabotage_seed=2000),
+            repeated_cv(data, 3, 2, stacked_fn(CONFIGS["rmsprop"], sabotage_path=(CELL, 1, 0)),
                         accuracy_metric, seed=3)
 
     def test_first_failed_cell_in_order_is_reported(self):
         data = thirteen_rows()
-        failing_metric = {3001}  # cell (0, 1)
+        failing_metric = {(CELL, 0, 1)}  # the stream path of cell (0, 1)
 
         def train_fn(Xs, ys, seeds):
             for s in seeds:
-                if s == 3002:  # cell (0, 2)
-                    raise ValueError(f"training {s}")
-                yield functools.partial(lambda s, X: np.full(len(X), 0.7), s)
+                if s.spawn_key == (CELL, 0, 2):
+                    raise ValueError(f"training {s.spawn_key}")
+                yield functools.partial(lambda path, X: np.full(len(X), 0.7), s.spawn_key)
 
         def metric(predictor, X, y):
             if predictor.args[0] in failing_metric:
                 raise ValueError(f"metric {predictor.args[0]}")
             return accuracy_metric(predictor, X, y)
 
-        with pytest.raises(RuntimeError, match=r"repeat 0, fold 1: metric 3001"):
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"repeat 0, fold 1: metric {(CELL, 0, 1)}")):
             repeated_cv(data, 3, 2, train_fn, metric, seed=3)
         failing_metric.clear()
-        with pytest.raises(RuntimeError, match=r"repeat 0, fold 2: training 3002"):
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"repeat 0, fold 2: training {(CELL, 0, 2)}")):
             repeated_cv(data, 3, 2, train_fn, metric, seed=3)
 
 
@@ -380,7 +384,7 @@ class TestStreamedCells:
 
         def train_fn(Xs, ys, seeds):
             for s in seeds:
-                events.append(("train", s))
+                events.append(("train", s.spawn_key))
                 yield self.constant
 
         def metric(predictor, X, y):
@@ -388,7 +392,7 @@ class TestStreamedCells:
             return accuracy_metric(predictor, X, y)
 
         rep = repeated_cv(data, 3, 1, train_fn, metric, seed=3)
-        assert events == [e for s in (3000, 3001, 3002) for e in (("train", s), ("score",))]
+        assert events == [e for f in range(3) for e in (("train", (CELL, 0, f)), ("score",))]
         listed = repeated_cv(data, 3, 1, lambda Xs, ys, seeds: [self.constant] * len(seeds),
                              accuracy_metric, seed=3)
         assert rep.fold_scores == listed.fold_scores
@@ -457,7 +461,7 @@ class TestStacksOfTheCli:
         cfg = sonar_config("epochs=3")
         data = cli._load_dataset(cfg)
         Xtr, ytr, Xte, _, _ = cli._split_and_scale(cfg, data)
-        seeds = [cfg.seed + 7919 * (m + 1) for m in range(5)]
+        seeds = [stream(cfg.seed, MEMBER, m) for m in range(5)]  # cmd_bias's members
         stacks = []
 
         def recording(models, *args, **kwargs):
