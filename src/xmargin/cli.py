@@ -220,7 +220,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
     write_csv(os.path.join(cfg.output_dir, "boundary_grid.csv"),
               ["x1", "x2", "probability", "hard_label"],
               [Indexed(g1, np.tile(steps, resolution)), Indexed(g2, np.repeat(steps, resolution)),
-               probs, Indexed(np.arange(2), hard_labels(probs).view(np.uint8))])
+               probs, hard_labels(probs).view(np.uint8)])
     write_csv(os.path.join(cfg.output_dir, "boundary_points.csv"),
               ["x1", "x2", "label"], [feats[:, 0], feats[:, 1], data.labels])
     return {

@@ -7,10 +7,9 @@ atomically (write to a temp name, then rename) as UTF-8, whatever the
 locale. CSV tables are written from columns, a block of rows at a time;
 a column given as `Indexed` formats each of its values once into a numpy
 object array, and each block's cells are gathered from it in one indexing
-step, so no per-cell Python call is made for such a column. A float's
-cell holds the bytes of its Python `repr`, computed in bulk: orjson writes
-the same shortest round-trip digits for a whole block, and `repr` itself
-is called only where orjson's notation differs.
+step, so no per-cell Python call is made for such a column. A numpy block
+of bools, ints or floats is formatted by one orjson call, with the bytes
+`_fmt` writes: `repr` is called only where orjson's float notation differs.
 """
 
 from __future__ import annotations
@@ -85,8 +84,7 @@ def write_report(path: str, sections: dict) -> None:
 class Indexed:
     """The column `values[index]`: each of `values` is formatted once and its
     string repeated, as for a grid axis that tiles a few hundred values over
-    many rows, or a 0/1 label indexed by its own mask. `index` is an integer
-    array; a bool mask is passed as its uint8 view."""
+    many rows. `index` is an integer array."""
     values: np.ndarray
     index: np.ndarray
 
@@ -94,44 +92,37 @@ class Indexed:
         return len(self.index)
 
 
-_KIND_FORMATS = {"i": str, "u": str, "b": ("false", "true").__getitem__}
+def _cells(col):
+    """A column block's cells as `_fmt` formats them. A numpy block of bools,
+    ints or floats takes one orjson call on a C-contiguous copy (orjson
+    rejects a strided array) in float64 or native byte order (orjson reads a
+    big-endian int as native). Its floats have `repr`'s shortest round-trip
+    digits but another notation for 0 < |x| < 1e-4 (`0.00001`), |x| >= 1e16
+    (`1e16`) and a non-finite x (`null`), so those cells take `repr`."""
+    if not isinstance(col, np.ndarray) or col.dtype.kind not in "biuf":
+        return map(_fmt, col)
+    import orjson  # here, so a command that writes no numpy column never imports it
 
-
-def _float_cells(col: np.ndarray) -> list[str]:
-    """`repr` of each value of a float column cast to float64. orjson writes
-    a contiguous float64 array with the shortest round-trip digits that
-    `repr` writes, but in another notation for 0 < |x| < 1e-4 (`0.00001`,
-    not `1e-05`), |x| >= 1e16 (`1e16`, not `1e+16`) and a non-finite x
-    (`null`), so those cells take `repr`."""
-    import orjson  # here, so a command that writes no float column never imports it
-
-    col = np.ascontiguousarray(col, dtype=np.float64)
+    floats = col.dtype.kind == "f"
+    col = np.ascontiguousarray(col, np.float64 if floats else col.dtype.newbyteorder("="))
     if not len(col):
         return []
     cells = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    size = np.abs(col)
-    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (col == 0.0))):
-        cells[i] = repr(float(col[i]))
+    if floats:
+        size = np.abs(col)
+        for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (col == 0.0))):
+            cells[i] = repr(float(col[i]))
     return cells
-
-
-def _cells(col):
-    """A column block's cells as `_fmt` formats them, by dtype for an array."""
-    if not isinstance(col, np.ndarray):
-        return map(_fmt, col)
-    if col.dtype.kind == "f":
-        return _float_cells(col)
-    fmt = _KIND_FORMATS.get(col.dtype.kind)
-    return map(_fmt, col) if fmt is None else map(fmt, col.tolist())
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
     """Rectangular CSV with a header row, from one column (a numpy array, a
-    list or an `Indexed`) per header name. A float cell holds the bytes of
-    its Python `repr`, computed a block at a time, so identical runs emit
-    identical bytes. Rows are formatted and written in blocks of 4096. An
-    `Indexed` column's strings are formatted once into an object array;
-    each block takes its cells as `strings[index block]`."""
+    list or an `Indexed`) per header name. A cell holds `_fmt`'s bytes (a
+    float's Python `repr`), one orjson call per block of a numpy bool, int or
+    float column, so identical runs emit identical bytes. Rows are formatted
+    and written in blocks of 4096. An `Indexed` column's strings are
+    formatted once into an object array; each block takes its cells as
+    `strings[index block]`."""
     lengths = [len(col) for col in columns]
     if len(lengths) != len(header) or len(set(lengths)) > 1:
         raise ValueError(f"ragged columns: {len(header)} names, lengths {lengths}")
