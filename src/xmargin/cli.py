@@ -40,12 +40,13 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
                     default_class_raw_label=cfg.default_label or None, header=cfg.header)
 
 
-def _fit(build, cfg: ExperimentConfig, X, y, seed, *path, **eval_data):
-    """Train `build(X.shape[1], stream(seed, *path, INIT))` with cfg's loss, optimizer,
-    epochs and batch size, shuffling and dropping out with `stream(seed, *path, DRAWS)`."""
-    return train_loop(build(X.shape[1], stream(seed, *path, INIT)), X, y, cfg.loss_params(),
+def _fit(build, cfg: ExperimentConfig, X, y, seed, **eval_data):
+    """Train `build(X.shape[1], stream(seed, INIT))` with cfg's loss, optimizer, epochs
+    and batch size, shuffling and dropping out with `stream(seed, DRAWS)`: `seed` is the
+    model's stream, as in `_fit_many`."""
+    return train_loop(build(X.shape[1], stream(seed, INIT)), X, y, cfg.loss_params(),
                       cfg.optimizer_config(), epochs=cfg.epochs, batch_size=cfg.batch_size,
-                      rng=np.random.default_rng(stream(seed, *path, DRAWS)), **eval_data)
+                      rng=np.random.default_rng(stream(seed, DRAWS)), **eval_data)
 
 
 # Parameters trained as one stack: five models of the sonar experiment (6657
@@ -60,23 +61,21 @@ def _fit(build, cfg: ExperimentConfig, X, y, seed, *path, **eval_data):
 STACK_PARAMS = 5 * 6657
 
 
-def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds):
-    """`_fit` for many (X, y, seed), in order, each seed a model's stream whose INIT and
-    DRAWS children seed its weights and its training: yields one TrainResult per seed.
-    The models are trained in stacks of at most STACK_PARAMS parameters, and each (X, y,
-    seed) is read when its stack is built, so neither the memory that training takes nor
-    the training data held at once grows with their number. A stack that fails raises,
-    when it is reached, its error, which names the model by its index in the stack."""
+def _fit_many(build, cfg: ExperimentConfig, jobs):
+    """`_fit` for many jobs (X, y, seed), in order: yields one TrainResult per job. The
+    models are trained in stacks of at most STACK_PARAMS parameters, and each job is read
+    when its stack is built, so neither the memory that training takes nor the training
+    data held at once grows with their number. A stack that fails raises, when it is
+    reached, its error, which names the model by its index in the stack."""
 
     def train(stack):
-        models, part_Xs, part_ys, part_seeds = zip(*stack)
-        return train_models(list(models), part_Xs, part_ys, cfg.loss_params(),
-                            cfg.optimizer_config(), epochs=cfg.epochs,
-                            batch_size=cfg.batch_size,
-                            rngs=[np.random.default_rng(stream(s, DRAWS)) for s in part_seeds])
+        models, Xs, ys, seeds = zip(*stack)
+        return train_models(list(models), Xs, ys, cfg.loss_params(), cfg.optimizer_config(),
+                            epochs=cfg.epochs, batch_size=cfg.batch_size,
+                            rngs=[np.random.default_rng(stream(s, DRAWS)) for s in seeds])
 
     stack = []
-    for X, y, seed in zip(Xs, ys, seeds):
+    for X, y, seed in jobs:
         stack.append((build(X.shape[1], stream(seed, INIT)), X, y, seed))
         if (len(stack) + 1) * stack[0][0].flat.size > STACK_PARAMS:  # full
             yield from train(stack)
@@ -86,15 +85,14 @@ def _fit_many(build, cfg: ExperimentConfig, Xs, ys, seeds):
 
 
 def _train_predictor_fn(cfg: ExperimentConfig):
-    """A train_fn for repeated_cv: an iterator that trains the fixed
-    experiment model for the cells a stack at a time as it is read, giving
-    their inference predictors; a stack that fails raises when it is read.
-    Unlike a generator expression, `map` holds no earlier result while the
-    next stack trains."""
+    """A train_fn for repeated_cv: an iterator that trains the fixed experiment model
+    for the jobs a stack at a time as it is read, giving their inference predictors; a
+    stack that fails raises when it is read. Unlike a generator expression, `map`
+    holds no earlier result while the next stack trains."""
 
-    def train_fn(Xs, ys, cell_seeds):
+    def train_fn(jobs):
         return map(lambda r: functools.partial(predict_proba, r.model),
-                   _fit_many(build_experiment_model, cfg, Xs, ys, cell_seeds))
+                   _fit_many(build_experiment_model, cfg, jobs))
 
     return train_fn
 
@@ -126,7 +124,8 @@ def _split_and_scale(cfg: ExperimentConfig, data: Dataset):
 def cmd_train(cfg: ExperimentConfig) -> dict:
     data = _load_dataset(cfg)
     Xtr, ytr, Xte, yte, _ = _split_and_scale(cfg, data)
-    result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed, MODEL, eval_X=Xte, eval_y=yte)
+    result = _fit(build_experiment_model, cfg, Xtr, ytr, stream(cfg.seed, MODEL),
+                  eval_X=Xte, eval_y=yte)
     write_csv(os.path.join(cfg.output_dir, "curves.csv"),
               ["epoch", "train_loss", "train_acc", "test_acc"],
               list(zip(*map(dataclasses.astuple, result.history))))
@@ -203,7 +202,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
     feats = data.features[:, [f1, f2]]
     stats = fit_scaler(feats, cfg.scaling, np.arange(len(feats)))
     X = apply_scaler(feats, stats)
-    result = _fit(build_boundary_model, cfg, X, data.labels, cfg.seed, MODEL)
+    result = _fit(build_boundary_model, cfg, X, data.labels, stream(cfg.seed, MODEL))
 
     lo = feats.min(axis=0)
     hi = feats.max(axis=0)
@@ -284,8 +283,8 @@ def cmd_bias(cfg: ExperimentConfig, variants: list[LossParams],
     for params in variants:
         variant_cfg = dataclasses.replace(cfg, loss_family=params.family,
                                           lambda1=params.lambda1, lambda2=params.lambda2)
-        results = _fit_many(build_experiment_model, variant_cfg, [Xtr] * ensemble_size,
-                            [ytr] * ensemble_size, seeds)
+        results = _fit_many(build_experiment_model, variant_cfg,
+                            ((Xtr, ytr, s) for s in seeds))
         preds = np.array([predict_proba(r.model, Xte) for r in results])
         if (preds == preds[0]).all():
             warnings.append(f"degenerate ensemble for {params.family.value}: "
@@ -326,7 +325,7 @@ def cmd_risk(cfg: ExperimentConfig, confidence: LabelConfidence | None,
         p0 = 1.0 - p1
     else:
         p0, p1 = confidence.p0, confidence.p1
-    result = _fit(build_experiment_model, cfg, Xtr, ytr, cfg.seed, MODEL)
+    result = _fit(build_experiment_model, cfg, Xtr, ytr, stream(cfg.seed, MODEL))
     probs = predict_proba(result.model, Xte)
     risk = conditional_risk(probs, p0, p1, cfg.loss_params())
     write_csv(os.path.join(cfg.output_dir, "risk.csv"),

@@ -109,9 +109,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path: str, overrides: list[str] = ()) -> ExperimentConfig:
-    """Read a UTF-8 config file and apply 'key=value' overrides on top."""
+    """Read a UTF-8 config file, a leading byte-order mark skipped, and apply
+    'key=value' overrides on top."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

@@ -64,7 +64,8 @@ class Dataset:
 
 def load_csv(path, label_column: int = -1, default_class_raw_label: str | None = None,
              header: bool = False) -> Dataset:
-    """Parse a two-class UTF-8 CSV into a Dataset: a read-through, then one pass.
+    """Parse a two-class UTF-8 CSV, a leading byte-order mark skipped, into a
+    Dataset: a read-through, then one pass.
 
     The pass holds only each row's stripped raw label and one float64 buffer
     of feature values, which becomes the (n, d) feature matrix uncopied. The
@@ -73,7 +74,7 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
     """
     if not os.path.exists(path):
         raise IngestionError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             for _ in csv.reader(fh):  # so that a UTF-8 or csv error anywhere comes first
                 pass
@@ -231,10 +232,10 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
 
     Repeat r's folds are drawn from ``stream(seed, PARTITION, r)``; cell (r, f)
     has seed ``stream(seed, CELL, r, f)`` and scaling fitted on its k-1
-    training folds. Every cell is handed to one ``train_fn(train_Xs, train_ys,
-    cell_seeds)`` call, as iterables in (repeat, fold) order; ``train_Xs`` can
-    be read once, and scales a cell's training rows when they are read, so a
-    ``train_fn`` that reads its cells a few at a time holds only those. It
+    training folds. Every cell is handed to one ``train_fn(jobs)`` call as a
+    job ``(X, y, seed)``, in (repeat, fold) order; ``jobs`` can be read once,
+    and makes each job, its training rows scaled, only when it is read, so a
+    ``train_fn`` that reads its jobs a few at a time holds only those. It
     returns an iterable (a list, or an iterator that trains as it is read) with
     per cell a predictor (callable X -> probability vector), and
     ``metric_fn(predictor, X, y)`` scores each held-out fold as its predictor
@@ -247,7 +248,6 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
         raise ValueError("repeats must be >= 1")
 
     cells = []  # (repeat, fold, training rows, held-out mask, fitted scaler)
-    train_ys, seeds = [], []
     for r in range(repeats):
         folds = stratified_kfold(data, k, stream(seed, PARTITION, r))
         for fold in range(k):
@@ -255,16 +255,14 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
             train_idx = np.flatnonzero(~test_mask)
             stats = fit_scaler(data.features, scaling, train_idx)
             cells.append((r, fold, train_idx, test_mask, stats))
-            train_ys.append(data.labels[train_idx])
-            seeds.append(stream(seed, CELL, r, fold))
-    train_Xs = (apply_scaler(data.features[train_idx], stats)
-                for _, _, train_idx, _, stats in cells)
+    jobs = ((apply_scaler(data.features[rows], stats), data.labels[rows],
+             stream(seed, CELL, r, fold)) for r, fold, rows, _, stats in cells)
 
     def failure(r, fold, exc):
         return RuntimeError(f"CV cell failed at repeat {r}, fold {fold}: {exc}")
 
     try:
-        predictors = iter(train_fn(train_Xs, train_ys, seeds))
+        predictors = iter(train_fn(jobs))
     except Exception as exc:
         raise failure(*cells[0][:2], exc) from exc
     flat = []

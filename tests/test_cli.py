@@ -137,6 +137,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config("/nonexistent.cfg")
 
+    def test_byte_order_mark_is_skipped(self, workspace):
+        cfg = workspace["cfg"]
+        plain = load_config(cfg)
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert load_config(cfg) == plain
+
     def test_scaling_defaults_to_zscore(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n")
@@ -513,6 +519,15 @@ class TestUtf8Inputs:
         workspace["cfg"].write_bytes(b"# \xff\n" + workspace["cfg"].read_bytes())
         assert main(["train", "--config", str(workspace["cfg"])]) == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_byte_order_marks_give_the_plain_files_payload(self, workspace):
+        data, cfg, out = workspace["data"], workspace["cfg"], workspace["out"]
+        assert main(["train", "--config", str(cfg)]) == 0
+        plain = (out / "curves.csv").read_bytes()
+        for path in (data, cfg):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["train", "--config", str(cfg), "--override", f"output_dir={out}-bom"]) == 0
+        assert (workspace["tmp"] / "out-bom" / "curves.csv").read_bytes() == plain
 
     def test_dataset_that_is_not_utf8_is_a_runtime_failure(self, workspace, capsys):
         data = workspace["data"]
@@ -912,10 +927,11 @@ class TestStreams:
         data = cli._load_dataset(cfg)
         made = record_generators(monkeypatch)
         if many:
-            list(cli._fit_many(build_experiment_model, cfg, [data.features], [data.labels],
-                               [stream(cfg.seed, CELL, 0, 0)]))
+            list(cli._fit_many(build_experiment_model, cfg,
+                               [(data.features, data.labels, stream(cfg.seed, CELL, 0, 0))]))
         else:
-            cli._fit(build_experiment_model, cfg, data.features, data.labels, cfg.seed, MODEL)
+            cli._fit(build_experiment_model, cfg, data.features, data.labels,
+                     stream(cfg.seed, MODEL))
         init, draws = made  # the model's generator, then its training's
         glorot = np.sort(np.concatenate([u.ravel() for u in init.uniforms]))
         dropout = draws.randoms[0].ravel()  # epoch 1's
@@ -1214,8 +1230,8 @@ class TestBiasCommand:
 
         # member m predicts 0.3 * (1 + 1e-7 * m): members that differ, although
         # by less than np.allclose's default relative tolerance of 1e-5
-        monkeypatch.setattr(cli_mod, "_fit_many", lambda build, cfg, Xs, ys, seeds: (
-            SimpleNamespace(model=m) for m in range(len(seeds))))
+        monkeypatch.setattr(cli_mod, "_fit_many", lambda build, cfg, jobs: (
+            SimpleNamespace(model=m) for m, _ in enumerate(jobs)))
         monkeypatch.setattr(cli_mod, "predict_proba",
                             lambda model, X: np.full(len(X), 0.3 * (1 + 1e-7 * model)))
         assert main(["bias", "--config", str(workspace["cfg"]),

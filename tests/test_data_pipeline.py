@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from xmargin import data_pipeline
 from xmargin.data_pipeline import (CELL, PARTITION, ConfigError, CvReport, Dataset,
                                    IngestionError, LabelChoiceError, Scaling, apply_scaler,
                                    fit_scaler, load_csv, repeated_cv, stratified_kfold,
@@ -25,9 +27,10 @@ def toy_dataset(n0=10, n1=10, d=3, seed=0):
 
 
 def reference_load(path, label_column=-1, default_class_raw_label=None, header=False):
-    """The parse load_csv must reproduce: every non-blank row of csv.reader,
-    the first dropped as a header, features through float."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """The parse load_csv must reproduce: every non-blank row of csv.reader
+    after a leading byte-order mark, the first dropped as a header, features
+    through float."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [r for r in csv.reader(fh) if r][1 if header else 0:]
     label_idx = label_column % len(rows[0])
     raw = [r.pop(label_idx).strip() for r in rows]
@@ -79,8 +82,10 @@ def csv_files(draw):
         lines.append(",".join(csv_cell(c, draw(st.booleans())) for c in cells))
         lines.extend([""] * draw(st.integers(0, 2)))  # blank lines are skipped
     default = draw(st.sampled_from([None, *pair]))
-    return newline.join(lines) + newline, {"label_column": label_column, "header": header,
-                                           "default_class_raw_label": default}
+    bom = draw(st.sampled_from(["", "\ufeff"]))  # as Excel's "CSV UTF-8" writes
+    return bom + newline.join(lines) + newline, {"label_column": label_column,
+                                                 "header": header,
+                                                 "default_class_raw_label": default}
 
 
 # file contents (None: no file), load_csv kwargs, the exception's exact type and
@@ -209,6 +214,22 @@ class TestLoadCsv:
         path.write_text("f1,f2,cls\n1,2,a\n3,4,b\n")
         data = load_csv(path, header=True)
         assert data.n == 2 and data.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("text, kwargs", [
+        ("-0.5,2,yes\n3.5,-1,no\n0,0.5,yes\n", {}),
+        ("yes,-0.5,2\nno,3.5,-1\nyes,0,0.5\n", {"label_column": 0}),
+        ("f1,f2,cls\n-0.5,2,yes\n3.5,-1,no\n0,0.5,yes\n", {"header": True}),
+    ], ids=["label_last", "label_first", "header"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, kwargs):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        a, b = load_csv(plain, **kwargs), load_csv(marked, **kwargs)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tolist() == b.labels.tolist() == [1, 0, 1]
+        assert a.default_class_raw_label == b.default_class_raw_label == "yes"
+        assert_matches_reference(marked, **kwargs)
 
     @given(csv_files())
     @settings(max_examples=150, deadline=None,
@@ -406,8 +427,8 @@ class TestCvReport:
         assert rep.std_envelope == (pytest.approx(0.0), pytest.approx(0.1))
 
 
-def constant_train_fn(Xs, ys, cell_seeds):
-    return [lambda Xe: np.full(len(Xe), 0.75) for _ in Xs]
+def constant_train_fn(jobs):
+    return [lambda Xe: np.full(len(Xe), 0.75) for _ in jobs]
 
 
 def accuracy_metric(predictor, X, y):
@@ -428,9 +449,8 @@ class TestRepeatedCv:
     def test_deterministic(self):
         data = toy_dataset(n0=12, n1=12)
 
-        def tfn(Xs, ys, cell_seeds):
-            ws = [np.random.default_rng(s).normal(size=X.shape[1])
-                  for X, s in zip(Xs, cell_seeds)]
+        def tfn(jobs):
+            ws = [np.random.default_rng(s).normal(size=X.shape[1]) for X, _, s in jobs]
             return [lambda Xe, w=w: 1.0 / (1.0 + np.exp(-(Xe @ w))) for w in ws]
 
         a = repeated_cv(data, 3, 3, tfn, accuracy_metric, seed=11)
@@ -444,10 +464,10 @@ class TestRepeatedCv:
     def test_cell_failure_is_annotated(self):
         data = toy_dataset(n0=6, n1=6)
 
-        def bad_fn(Xs, ys, cell_seeds):
+        def bad_fn(jobs):
             raise RuntimeError("boom")
 
-        with pytest.raises(RuntimeError, match=r"repeat 0, fold 0"):
+        with pytest.raises(RuntimeError, match=r"repeat 0, fold 0: boom$"):
             repeated_cv(data, 2, 1, bad_fn, accuracy_metric, seed=0)
 
     def test_each_repeat_draws_its_folds_from_its_own_stream(self):
@@ -458,8 +478,8 @@ class TestRepeatedCv:
                        default_class_raw_label="pos")
         cells = []
 
-        def fn(Xs, ys, cell_seeds):
-            cells.extend((X[:, 0].astype(int), s) for X, s in zip(Xs, cell_seeds))
+        def fn(jobs):
+            cells.extend((X[:, 0].astype(int), s) for X, _, s in jobs)
             return [lambda Xe: np.full(len(Xe), 0.75) for _ in cells]
 
         repeated_cv(data, 3, 3, fn, accuracy_metric, seed=12, scaling=Scaling.NONE)
@@ -472,6 +492,35 @@ class TestRepeatedCv:
         # the three repeats draw three partitions
         assert len({tuple(rows) for rows, _ in cells}) == 9
 
+    @pytest.mark.parametrize("read", [0, 1, 4])
+    def test_a_job_is_made_only_when_it_is_read(self, monkeypatch, read):
+        # a train_fn that reads `read` jobs and raises has had exactly that many
+        # cells' training rows scaled, and drawn that many cell streams
+        data = toy_dataset(n0=9, n1=9)
+        scaled, cell_streams = [], []
+        real_apply, real_stream = data_pipeline.apply_scaler, data_pipeline.stream
+
+        def counting_apply(X, stats):
+            scaled.append(len(X))
+            return real_apply(X, stats)
+
+        def counting_stream(seed, *path):
+            if path[0] == CELL:
+                cell_streams.append(path)
+            return real_stream(seed, *path)
+
+        def train_fn(jobs):
+            for _ in itertools.islice(jobs, read):
+                pass
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(data_pipeline, "apply_scaler", counting_apply)
+        monkeypatch.setattr(data_pipeline, "stream", counting_stream)
+        with pytest.raises(RuntimeError, match=r"^CV cell failed at repeat 0, fold 0: stop$"):
+            repeated_cv(data, 3, 2, train_fn, accuracy_metric, seed=1)
+        assert scaled == [12] * read  # the training rows of a 3-fold cell of 18 rows
+        assert cell_streams == [(CELL, r, f) for r in range(2) for f in range(3)][:read]
+
     def test_scaling_fitted_without_leakage(self):
         # the scaled training matrix handed to train_fn must not depend on
         # values in the held-out fold
@@ -479,9 +528,9 @@ class TestRepeatedCv:
         seen = {}
 
         def recording_fn(tag):
-            def fn(Xs, ys, cell_seeds):
-                seen.setdefault(tag, []).extend(X.copy() for X in Xs)
-                return [lambda Xe: np.full(len(Xe), 0.75) for _ in ys]
+            def fn(jobs):
+                seen.setdefault(tag, []).extend(X.copy() for X, _, _ in jobs)
+                return [lambda Xe: np.full(len(Xe), 0.75) for _ in seen[tag]]
             return fn
 
         repeated_cv(base, 2, 1, recording_fn("a"), accuracy_metric,

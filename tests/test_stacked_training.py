@@ -93,8 +93,8 @@ def stacked_fn(config, sabotage_path=None):
     the model whose seed has stream path `sabotage_path` gets first-layer
     weights that overflow."""
 
-    def fn(Xs, ys, seeds):
-        Xs = list(Xs)  # read twice below; repeated_cv's train_Xs can be read once
+    def fn(jobs):
+        Xs, ys, seeds = zip(*jobs)  # repeated_cv's jobs can be read once
         models = [build_experiment_model(X.shape[1], s) for X, s in zip(Xs, seeds)]
         for m, s in zip(models, seeds):
             if s.spawn_key == sabotage_path:
@@ -107,11 +107,11 @@ def stacked_fn(config, sabotage_path=None):
 
 
 def oracle_fn(config):
-    def fn(Xs, ys, seeds):
+    def fn(jobs):
         return [functools.partial(predict_proba, train_one(
                     build_experiment_model(X.shape[1], s), X, y, LOSS, config,
                     EPOCHS, BATCH, np.random.default_rng(s))[0])
-                for X, y, s in zip(Xs, ys, seeds)]
+                for X, y, s in jobs]
 
     return fn
 
@@ -351,8 +351,8 @@ class TestFailures:
         data = thirteen_rows()
         failing_metric = {(CELL, 0, 1)}  # the stream path of cell (0, 1)
 
-        def train_fn(Xs, ys, seeds):
-            for s in seeds:
+        def train_fn(jobs):
+            for _, _, s in jobs:
                 if s.spawn_key == (CELL, 0, 2):
                     raise ValueError(f"training {s.spawn_key}")
                 yield functools.partial(lambda path, X: np.full(len(X), 0.7), s.spawn_key)
@@ -382,8 +382,8 @@ class TestStreamedCells:
         data = thirteen_rows()
         events = []
 
-        def train_fn(Xs, ys, seeds):
-            for s in seeds:
+        def train_fn(jobs):
+            for _, _, s in jobs:
                 events.append(("train", s.spawn_key))
                 yield self.constant
 
@@ -393,14 +393,14 @@ class TestStreamedCells:
 
         rep = repeated_cv(data, 3, 1, train_fn, metric, seed=3)
         assert events == [e for f in range(3) for e in (("train", (CELL, 0, f)), ("score",))]
-        listed = repeated_cv(data, 3, 1, lambda Xs, ys, seeds: [self.constant] * len(seeds),
+        listed = repeated_cv(data, 3, 1, lambda jobs: [self.constant for _ in jobs],
                              accuracy_metric, seed=3)
         assert rep.fold_scores == listed.fold_scores
 
     def test_an_iterator_that_raises_fails_the_cell_it_was_due_for(self):
         data = thirteen_rows()
 
-        def train_fn(Xs, ys, seeds):
+        def train_fn(jobs):
             yield self.constant
             yield self.constant
             raise ValueError("second stack")
@@ -412,11 +412,11 @@ class TestStreamedCells:
         data = thirteen_rows()
         with pytest.raises(RuntimeError, match=r"repeat 0, fold 2: train_fn returned 2 predictors "
                                                r"for 3 cells"):
-            repeated_cv(data, 3, 1, lambda Xs, ys, seeds: [self.constant] * 2,
+            repeated_cv(data, 3, 1, lambda jobs: [self.constant] * 2,
                         accuracy_metric, seed=3)
         with pytest.raises(RuntimeError, match=r"repeat 0, fold 0: train_fn returned more "
                                                r"predictors than the 3 cells"):
-            repeated_cv(data, 3, 1, lambda Xs, ys, seeds: [self.constant] * 4,
+            repeated_cv(data, 3, 1, lambda jobs: [self.constant] * 4,
                         accuracy_metric, seed=3)
 
 
@@ -470,8 +470,8 @@ class TestStacksOfTheCli:
 
         monkeypatch.setattr(cli, "train_models", recording)
         monkeypatch.setattr(cli, "STACK_PARAMS", 3 * 6657)
-        stacked = list(cli._fit_many(build_experiment_model, cfg, [Xtr] * 5, [ytr] * 5,
-                                     seeds))
+        stacked = list(cli._fit_many(build_experiment_model, cfg,
+                                     ((Xtr, ytr, s) for s in seeds)))
         assert stacks == [3, 2]
         for res, s in zip(stacked, seeds):
             alone = cli._fit(build_experiment_model, cfg, Xtr, ytr, s)
