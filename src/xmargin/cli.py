@@ -207,8 +207,7 @@ def cmd_boundary(cfg: ExperimentConfig, features: tuple[int, int],
     lo = feats.min(axis=0)
     hi = feats.max(axis=0)
     pad = 0.1 * (hi - lo)
-    g1 = np.linspace(lo[0] - pad[0], hi[0] + pad[0], resolution)
-    g2 = np.linspace(lo[1] - pad[1], hi[1] + pad[1], resolution)
+    g1, g2 = np.linspace(lo - pad, hi + pad, resolution).T
     # scaling is elementwise per column, so scaling the two axes and then
     # crossing them gives the scaled grid bit for bit;
     # row i * resolution + j of the grid is (g1[j], g2[i])

@@ -137,18 +137,20 @@ def load_csv(path, label_column: int = -1, default_class_raw_label: str | None =
 
 def fit_scaler(features: np.ndarray, method: Scaling, fit_on) -> tuple:
     """Fit `method` on the given row subset only, as the transform that
-    `apply_scaler` applies: (shift, scale, constant). MinMax marks a column
-    that is constant on the rows as `constant`, so it maps to 0."""
+    `apply_scaler` applies: (shift, scale, constant). A column that is
+    constant on the rows, or whose standard deviation underflows to 0, is
+    marked `constant`, so every value of it maps to 0."""
     fit_rows = features[fit_on]
     if fit_rows.shape[0] == 0:
         raise ValueError("fit_on must be non-empty")
-    if method is Scaling.MINMAX:
-        low = fit_rows.min(axis=0)
-        span = fit_rows.max(axis=0) - low
-        return low, np.where(span == 0.0, 1.0, span), span == 0.0
-    if method is Scaling.ZSCORE:
-        return fit_rows.mean(axis=0), np.maximum(fit_rows.std(axis=0), 1e-12), False
-    return 0.0, 1.0, False
+    if method is Scaling.NONE:
+        return 0.0, 1.0, False
+    low = fit_rows.min(axis=0)
+    span = fit_rows.max(axis=0) - low
+    shift, scale = ((low, span) if method is Scaling.MINMAX
+                    else (fit_rows.mean(axis=0), fit_rows.std(axis=0)))
+    constant = (span == 0.0) | (scale == 0.0)
+    return shift, np.where(constant, 1.0, scale), constant
 
 
 def apply_scaler(features: np.ndarray, stats: tuple) -> np.ndarray:
@@ -247,16 +249,15 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
-    cells = []  # (repeat, fold, training rows, held-out mask, fitted scaler)
+    cells = []  # (repeat, fold, held-out mask, fitted scaler)
     for r in range(repeats):
         folds = stratified_kfold(data, k, stream(seed, PARTITION, r))
         for fold in range(k):
             test_mask = folds == fold
-            train_idx = np.flatnonzero(~test_mask)
-            stats = fit_scaler(data.features, scaling, train_idx)
-            cells.append((r, fold, train_idx, test_mask, stats))
-    jobs = ((apply_scaler(data.features[rows], stats), data.labels[rows],
-             stream(seed, CELL, r, fold)) for r, fold, rows, _, stats in cells)
+            cells.append((r, fold, test_mask,
+                          fit_scaler(data.features, scaling, ~test_mask)))
+    jobs = ((apply_scaler(data.features[~mask], stats), data.labels[~mask],
+             stream(seed, CELL, r, fold)) for r, fold, mask, stats in cells)
 
     def failure(r, fold, exc):
         return RuntimeError(f"CV cell failed at repeat {r}, fold {fold}: {exc}")
@@ -266,7 +267,7 @@ def repeated_cv(data: Dataset, k: int, repeats: int, train_fn, metric_fn,
     except Exception as exc:
         raise failure(*cells[0][:2], exc) from exc
     flat = []
-    for r, fold, _, test_mask, stats in cells:
+    for r, fold, test_mask, stats in cells:
         try:
             predictor = next(predictors, None)
             if predictor is None:

@@ -90,10 +90,12 @@ class MlpModel:
                != [(l.weights.shape, l.activation, l.dropout_rate) for l in first.layers]
                for m in models):
             raise ValueError("stacked models must share one architecture")
-        return cls(layers=[Layer(np.stack([m.layers[i].weights for m in models]),
-                                 np.stack([m.layers[i].biases for m in models]),
-                                 l.activation, l.dropout_rate)
-                           for i, l in enumerate(first.layers)])
+        flat = np.stack([m.flat for m in models])
+        if not np.isfinite(flat).all():
+            raise ValueError("non-finite parameters")
+        stacked = first.copy()
+        stacked.bind(flat)
+        return stacked
 
     def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weights, biases) views of an array laid out like `flat`
@@ -195,26 +197,17 @@ def forward(model: MlpModel, x: np.ndarray, mode: Mode = Mode.INFER,
     return ForwardTrace(inputs=xa, raw_activations=raw, activations=act, masks=used)
 
 
-class Gradients(list):
-    """Per-layer [(dW, db), ...] whose arrays are views of `flat`, one
-    vector laid out like `MlpModel.flat`."""
-
-    def __init__(self, pairs, flat: np.ndarray):
-        super().__init__(pairs)
-        self.flat = flat
-
-
-def backward(trace: ForwardTrace, model: MlpModel,
-             dloss_dy: float | np.ndarray, out: Gradients | None = None) -> Gradients:
+def backward(trace: ForwardTrace, model: MlpModel, dloss_dy: float | np.ndarray,
+             out: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Reverse-mode accumulation of d(loss)/d(parameters).
 
     ``dloss_dy`` is the loss derivative with respect to each instance's
     output probability (scalar for a single instance, shaped like
     `trace.output` for a batch); gradients are summed over the batch (per
     model, for a stacked model), so pre-scale by 1/n for a mean loss.
-    Returns [(dW, db), ...] per layer, as views of one array laid out like
-    `model.flat`: a fresh one, or `out` (an earlier result for this model)
-    overwritten.
+    The gradient is written into `out`, an array laid out like `model.flat`
+    (a fresh one when None), and returned as its per-layer [(dW, db), ...]
+    views.
     """
     if len(trace.raw_activations) != len(model.layers):
         raise ValueError("trace/model layer count mismatch")
@@ -224,10 +217,7 @@ def backward(trace: ForwardTrace, model: MlpModel,
     if seed.size != trace.output.size:
         raise ValueError("dloss_dy length does not match the traced batch")
 
-    grads = out
-    if grads is None:
-        flat = np.empty_like(model.flat)
-        grads = Gradients(model.views(flat), flat)
+    grads = model.views(np.empty_like(model.flat) if out is None else out)
     # running dLoss/d(post-dropout activation), (..., n, width)
     delta = seed.reshape(trace.output.shape)[..., None]
     for i in range(len(model.layers) - 1, -1, -1):

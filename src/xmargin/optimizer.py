@@ -185,7 +185,9 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     iterates before a failed step: their parameters are rows of the stack's
     (B, P) array, and their own buffers are let go when training starts.
     With `evals` (one (X, y) per model, checked like the training sets
-    before any training) each epoch records accuracies.
+    before any training) each epoch records accuracies; a model whose
+    parameters a finite step made non-finite raises FloatingPointError
+    before its epoch is scored.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -220,7 +222,7 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     for b, model in enumerate(models):
         model.bind(stack.flat[b])
     state = TrainState(model=stack, config=config)
-    grads = None  # every step's gradient goes into the first step's arrays
+    grads = np.empty_like(stack.flat)  # every step's gradient goes into this array
     # read from the module's names on each call, so a rebinding of them is
     # seen; the step overwrites the gradient, and the next backward refills it
     step = subgradient_step if config.method is Method.SUBGRADIENT else rmsprop_step
@@ -269,10 +271,10 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                 used = np.maximum(cnt, 1)
                 batch_mean = vals.sum(axis=-1) / used
                 dvals /= used[:, None]
-                grads = backward(trace, stack, dvals, out=grads)
+                backward(trace, stack, dvals, out=grads)
                 # losses are bounded, so their sum is finite exactly when each is
-                if not (np.isfinite(grads.flat).all() and math.isfinite(batch_mean.sum())):
-                    finite = np.isfinite(grads.flat).all(axis=-1)
+                if not (np.isfinite(grads).all() and math.isfinite(batch_mean.sum())):
+                    finite = np.isfinite(grads).all(axis=-1)
                     for b in np.flatnonzero(cnt > 0):
                         if not math.isfinite(batch_mean[b]):
                             raise FloatingPointError(
@@ -287,12 +289,12 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                     # the steps it took) and keeps its parameters; RMSprop
                     # accumulators would still decay, so they are put back
                     batch_mean[~rows] = np.inf
-                    grads.flat[~rows] = 0.0
+                    grads[~rows] = 0.0
                     if state.accumulators is not None:
                         held = state.accumulators[~rows]
                 # the snapshot pairs each loss with the parameters that scored it
                 state.note_loss(batch_mean)
-                step(state, grads.flat)
+                step(state, grads)
                 if held is not None:
                     state.accumulators[~rows] = held
                 losses[:, s] = batch_mean
@@ -300,6 +302,9 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
             for b in range(n_models):
                 train_acc = eval_acc = float("nan")
                 if evals is not None:
+                    if not np.isfinite(stack.flat[b]).all():
+                        raise FloatingPointError(
+                            f"model {b}: non-finite parameters after epoch {epoch}")
                     train_acc, eval_acc = (scores(predict_proba(models[b], X), y)["accuracy"]
                                            for X, y in ((Xs[b], ys[b]), evals[b]))
                 history[b].append(EpochRecord(epoch, float(losses[b, :batches[b]].mean()),

@@ -572,6 +572,19 @@ class TestExitCodes:
         assert proc.stderr.startswith("runtime failure: CV cell failed at repeat 0, fold 0: "
                                       "model 0: non-finite training loss at epoch 1, step ")
 
+    def test_train_whose_last_step_overflows_names_the_model(self, workspace):
+        # one step per epoch, so the overflowed parameters are met when the
+        # epoch is scored, not by the next step's loss
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "xmargin.cli", "train",
+                               "--config", str(workspace["cfg"]), "--override", "alpha=1e308",
+                               "--override", "batch_size=1000", "--override", "epochs=2"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "runtime failure: model 0: non-finite parameters after epoch 1\n"
+        assert not workspace["out"].exists()
+
     def test_dataset_of_only_a_label_column_is_a_runtime_failure(self, workspace, capsys):
         data = workspace["data"]
         data.write_text("".join(line.rsplit(",", 1)[1]

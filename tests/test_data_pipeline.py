@@ -331,11 +331,27 @@ class TestScaling:
                               fit_scaler(data.features, Scaling.NONE, np.arange(data.n)))
         assert np.array_equal(scaled, data.features)
 
+    @staticmethod
+    def constant_columns(method):
+        """Two columns constant on the three fitted rows, scaled: held-out
+        values below, at and above the constant value, and a column of 0.1s,
+        whose mean can differ from 0.1 in its last bits."""
+        X = np.column_stack([[3.0, 3.0, 3.0, 2.0, 3.0, 4.0], np.full(6, 0.1), np.arange(6.0)])
+        return apply_scaler(X, fit_scaler(X, method, np.arange(3)))[:, :2]
+
     def test_constant_column_maps_held_out_rows_to_plus_zero_minmax(self):
-        # held-out values below, at and above the constant value all give +0.0
-        X = np.column_stack([[3.0, 3.0, 3.0, 2.0, 3.0, 4.0], np.arange(6.0)])
-        out = apply_scaler(X, fit_scaler(X, Scaling.MINMAX, np.arange(3)))
-        assert (out[:, 0] == 0.0).all() and not np.signbit(out[:, 0]).any()
+        out = self.constant_columns(Scaling.MINMAX)
+        assert (out == 0.0).all() and not np.signbit(out).any()
+
+    def test_constant_column_maps_held_out_rows_to_plus_zero_zscore(self):
+        out = self.constant_columns(Scaling.ZSCORE)
+        assert (out == 0.0).all() and not np.signbit(out).any()
+
+    def test_column_whose_std_underflows_maps_to_zero_zscore(self):
+        X = np.array([[0.0, 0.0], [1e-200, 1.0], [5e-201, 2.0]])
+        stats = fit_scaler(X, Scaling.ZSCORE, np.arange(2))
+        assert X[:2, 0].std() == 0.0  # though the column is not constant
+        assert (apply_scaler(X, stats)[:, 0] == 0.0).all()
 
     def test_none_returns_a_new_array_bit_for_bit(self):
         X = np.array([[-0.0, 5e-324], [-1e308, 0.1]])

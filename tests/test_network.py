@@ -363,10 +363,17 @@ class TestFlatBuffer:
         model = build_experiment_model(6, seed=3)
         trace = forward(model, np.random.default_rng(0).normal(size=(4, 6)))
         grads = backward(trace, model, np.ones(4))
-        assert grads.flat.shape == model.flat.shape
-        assert not np.shares_memory(grads.flat, model.flat)
+        flat = grads[0][0].base  # the array the per-layer gradients are views of
+        assert all(g.base is flat for pair in grads for g in pair)
+        assert flat.shape == model.flat.shape
+        assert not np.shares_memory(flat, model.flat)
         assert np.array_equal(
-            np.concatenate([g.ravel() for pair in grads for g in pair]), grads.flat)
+            np.concatenate([g.ravel() for pair in grads for g in pair]), flat)
+        # given `out`, backward writes the same gradient there and returns its views
+        out = np.empty_like(model.flat)
+        assert all(g.base is out for pair in backward(trace, model, np.ones(4), out=out)
+                   for g in pair)
+        assert np.array_equal(out, flat)
 
 
 class TestRawActivations:

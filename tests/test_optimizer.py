@@ -303,7 +303,9 @@ class TestFlatUpdate:
         keep = dropout_keep(model)
         trace = forward(model, X, Mode.TRAIN, kept=rng.random((16, keep.size)) < keep)
         _, dvals = loss_and_grad_vec(trace.output, y, LossParams(2.0, 3.0))
-        return backward(trace, model, dvals / 16)
+        g = np.empty_like(model.flat)
+        backward(trace, model, dvals / 16, out=g)
+        return g
 
     def test_rmsprop_matches_per_array_reference(self):
         from xmargin.network import build_experiment_model
@@ -314,8 +316,8 @@ class TestFlatUpdate:
         ref_acc = [np.zeros_like(p) for p in ref_params]
         for _ in range(3):
             grads = self.real_gradients(model)
-            flat_g = [g.copy() for pair in grads for g in pair]
-            rmsprop_step(state, grads.flat)
+            flat_g = [g.copy() for pair in model.views(grads) for g in pair]
+            rmsprop_step(state, grads)
             for p, g, v in zip(ref_params, flat_g, ref_acc):
                 v *= DECAY
                 v += (1.0 - DECAY) * g * g

@@ -39,6 +39,7 @@ CONFIGS = {
 def train_one(model, X, y, loss, config, epochs, batch_size, rng):
     """Per-model oracle; returns (best model, final model, epoch losses)."""
     state = TrainState(model=model, config=config)
+    grads = np.empty_like(model.flat)
     keep = dropout_keep(model)
     t = 0  # optimizer steps taken
     n = X.shape[0]
@@ -55,12 +56,12 @@ def train_one(model, X, y, loss, config, epochs, batch_size, rng):
             if not math.isfinite(batch_mean):
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch}, step {t}")
-            grads = backward(trace, state.model, dvals / len(idx))
+            backward(trace, state.model, dvals / len(idx), out=grads)
             state.note_loss(batch_mean)
             if config.method is Method.SUBGRADIENT:
-                subgradient_step(state, grads.flat)
+                subgradient_step(state, grads)
             else:
-                rmsprop_step(state, grads.flat)
+                rmsprop_step(state, grads)
             t += 1
             epoch_losses.append(batch_mean)
         history.append(float(np.mean(epoch_losses)))
@@ -231,7 +232,7 @@ class TestFailures:
             grads = backward(trace, model, dvals, out=out)
             before.append(model.flat.copy())
             if len(before) == 4:
-                grads.flat[1, 0] = np.nan
+                out[1, 0] = np.nan
             return grads
 
         monkeypatch.setattr(optimizer, "backward", poisoned)
@@ -245,8 +246,8 @@ class TestFailures:
 
     @staticmethod
     def poisoned_run(monkeypatch, poison):
-        """Train three models with rmsprop; `poison(grads.flat)` edits the
-        stack's gradient at the fourth step."""
+        """Train three models with rmsprop; `poison(out)` edits the stack's
+        gradient array at the fourth step."""
         Xs, ys = unequal_training_sets()
         calls = []
 
@@ -254,7 +255,7 @@ class TestFailures:
             grads = backward(trace, model, dvals, out=out)
             calls.append(None)
             if len(calls) == 4:
-                poison(grads.flat)
+                poison(out)
             return grads
 
         monkeypatch.setattr(optimizer, "backward", poisoned)
@@ -270,6 +271,24 @@ class TestFailures:
         models, out = self.poisoned_run(monkeypatch, poison)
         assert all(type(o) is TrainResult for o in out)
         assert all(np.isfinite(m.flat).all() for m in models)
+
+    def test_parameters_a_step_overflows_fail_before_the_epoch_is_scored(self, monkeypatch):
+        def poisoned(trace, model, dvals, out=None):
+            grads = backward(trace, model, dvals, out=out)
+            grads[0][0][1, 0, 0] = 1e308  # finite, but not once multiplied by alpha
+            return grads
+
+        monkeypatch.setattr(optimizer, "backward", poisoned)
+        Xs, ys = unequal_training_sets()
+        models = [build_experiment_model(5, s) for s in (11, 12)]
+        # one step per epoch; scoring model 1's parameters would read NaN probabilities
+        with pytest.raises(FloatingPointError,
+                           match=r"^model 1: non-finite parameters after epoch 1$"):
+            train_models(models, Xs[:2], ys[:2], LOSS,
+                         OptimizerConfig(method=Method.SUBGRADIENT, alpha=10.0), 2,
+                         max(len(y) for y in ys), [np.random.default_rng(s) for s in (11, 12)],
+                         evals=list(zip(Xs[:2], ys[:2])))
+        assert np.isfinite(models[0].flat).all()
 
     def test_infinities_in_two_models_name_the_first(self, monkeypatch):
         def poison(g):
@@ -430,12 +449,14 @@ class TestStackedNetwork:
         kept = rng.random((3, 5, 112)) < 0.75
         trace = forward(stack, X, Mode.TRAIN, kept=kept)
         seeds = rng.normal(size=(3, 5))
-        grads = backward(trace, stack, seeds)
+        grads = np.empty_like(stack.flat)
+        backward(trace, stack, seeds, out=grads)
         for b, m in enumerate(models):
             single = forward(m, X[b], Mode.TRAIN, kept=kept[b])
             assert np.max(np.abs(trace.output[b] - single.output)) <= 1e-12
-            g = backward(single, m, seeds[b])
-            assert np.max(np.abs(grads.flat[b] - g.flat)) <= 1e-12
+            g = np.empty_like(m.flat)
+            backward(single, m, seeds[b], out=g)
+            assert np.max(np.abs(grads[b] - g)) <= 1e-12
             assert np.max(np.abs(predict_proba(stack, X[0])[b]
                                  - predict_proba(m, X[0]))) <= 1e-12
 
@@ -445,6 +466,13 @@ class TestStackedNetwork:
         one = MlpModel(layers=[Layer(np.ones((1, 2)), np.zeros(1), Activation.SIGMOID)])
         with pytest.raises(ValueError, match="one architecture"):
             MlpModel.stack([one, build_boundary_model(2, 0)])
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_model_rejected_in_any_position(self, position):
+        models = [build_boundary_model(4, s) for s in range(3)]
+        models[position].flat[5] = np.inf  # written through the buffer, unchecked
+        with pytest.raises(ValueError, match="^non-finite parameters$"):
+            MlpModel.stack(models)
 
 
 def sonar_config(*overrides):
