@@ -52,12 +52,13 @@ def _fit(build, cfg: ExperimentConfig, X, y, seed, **eval_data):
 # Parameters trained as one stack: five models of the sonar experiment (6657
 # parameters each). While it trains, a stacked RMSprop model holds five arrays
 # of its parameters' size (its row of the stack, the accumulators, the
-# best-iterate snapshot, the gradient and one work array) plus its share of
-# one step's activations and dropout keep flags: 7.6 parameter-sized arrays
-# in all at the tracemalloc peak of `train_models` (five sonar models, 187
-# rows, minibatches of 16). `xmargin cv` on sonar (repeats=1, epochs=50, run
-# in-process) peaks at 37.2-37.4 MB `VmHWM` one model at a time, 38.9-39.0 MB
-# in stacks of five and 41.4-41.5 MB in stacks of ten.
+# best-iterate snapshot, the gradient and one work array), its share of the
+# epoch's shuffled rows, labels and dropout keep flags, and its share of one
+# step's activations: 9.0 parameter-sized arrays in all at the tracemalloc
+# peak of `train_models` (five sonar models, 187 rows, minibatches of 16), the
+# shuffled rows 1.7 of them. `xmargin cv` on sonar (repeats=1, epochs=50, run
+# in-process) peaks at 38.2-38.4 MB `VmHWM` one model at a time, 40.3-40.4 MB
+# in stacks of five and 43.0-43.2 MB in stacks of ten.
 STACK_PARAMS = 5 * 6657
 
 

@@ -167,13 +167,14 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     Model b trains on (Xs[b], ys[b]). Each epoch its generator rngs[b]
     shuffles it, then draws the uniforms of the epoch's dropout masks as one
     (training rows, dropout units) block, `kept` as `forward` lays it out;
-    minibatch s takes that block's rows s*batch_size onwards. Consecutive
-    draws from one generator are the rows of one block, so this equals a
-    draw per minibatch. Every step runs one Train-mode forward pass
-    over all models, each model's mean minibatch loss, reverse-mode
-    gradients and one optimizer step over the (B, P) parameters. Models
-    with fewer training rows pad their last minibatch with zero-weight rows
-    and sit out a step in which they have no rows left.
+    consecutive draws from one generator are the rows of one block, so this
+    equals a draw per minibatch. The epoch's shuffled rows, labels and keep
+    flags are laid out once in (B, longest training set, ...) arrays, and
+    minibatch s is their columns s*batch_size onwards. Every step runs one
+    Train-mode forward pass over all models, each model's mean minibatch
+    loss, reverse-mode gradients and one optimizer step over the (B, P)
+    parameters. Models with fewer training rows pad their last minibatch
+    with zero-weight rows and sit out a step in which they have no rows left.
 
     The stack fails as a whole. A model's bad input raises ValueError before
     any training; a non-finite minibatch loss (FloatingPointError) or
@@ -184,10 +185,10 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     snapshot. The input models end as the final iterates, or as the last
     iterates before a failed step: their parameters are rows of the stack's
     (B, P) array, and their own buffers are let go when training starts.
-    With `evals` (one (X, y) per model, checked like the training sets
-    before any training) each epoch records accuracies; a model whose
-    parameters a finite step made non-finite raises FloatingPointError
-    before its epoch is scored.
+    A model whose parameters a finite step made non-finite raises
+    FloatingPointError after the epoch, before it is scored. With `evals`
+    (one (X, y) per model, checked like the training sets before any
+    training) each epoch records accuracies.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -227,47 +228,38 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     # seen; the step overwrites the gradient, and the next backward refills it
     step = subgradient_step if config.method is Method.SUBGRADIENT else rmsprop_step
     n = np.array([X.shape[0] for X in Xs])
-    n_steps = -(-int(n.max()) // batch_size)
-    span = n_steps * batch_size
+    n_max = int(n.max())
     batches = -(-n // batch_size)  # minibatches per epoch, per model
     # real rows of each model in each step; the longest model fills every step
-    counts = np.clip(n[:, None] - batch_size * np.arange(n_steps), 0, batch_size)
-    step_rows = counts.T.tolist()
+    counts = np.clip(n[:, None] - np.arange(0, n_max, batch_size), 0, batch_size)
+    widths = counts.max(axis=0).tolist()
     keep = dropout_keep(stack)
-    # each epoch's dropout keep flags, drawn per model right after its shuffle;
-    # a padding row's flags are never drawn, and its zero weight voids them
-    kept = np.zeros((n_models, span, keep.size), dtype=bool)
+    # a shorter model's rows past its own are padding: they stay zero, their
+    # keep flags are never drawn, and `real` weighs them 0 in each step's mean
+    X_epoch = np.zeros((n_models, n_max, d))
+    y_epoch = np.zeros((n_models, n_max))
+    kept = np.zeros((n_models, n_max, keep.size), dtype=bool)
+    real = np.arange(n_max) < n[:, None]
 
     history = [[] for _ in range(n_models)]
-    losses = np.empty((n_models, n_steps))
+    losses = np.empty(counts.shape)
     # an overflowing model is reported once, by the checks below, not also
     # by numpy warnings from the arithmetic that produced its inf or nan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, epochs + 1):
-            order = np.empty((n_models, span), dtype=int)
             for b in range(n_models):
-                order[b, :n[b]] = rngs[b].permutation(n[b])
+                order = rngs[b].permutation(n[b])
+                Xs[b].take(order, axis=0, out=X_epoch[b, :n[b]])
+                ys[b].take(order, out=y_epoch[b, :n[b]])
                 np.less(rngs[b].random((n[b], keep.size)), keep, out=kept[b, :n[b]])
 
-            for s, per_model in enumerate(step_rows):
-                width = max(per_model)
-                lo = s * batch_size
-                # each model's rows, gathered from its own matrix; padding is 0
-                xb = np.zeros((n_models, width, d))
-                yb = np.zeros((n_models, width))
-                for b, rows_b in enumerate(per_model):
-                    if rows_b:
-                        idx = order[b, lo:lo + rows_b]
-                        Xs[b].take(idx, axis=0, out=xb[b, :rows_b])
-                        ys[b].take(idx, out=yb[b, :rows_b])
-                trace = forward(stack, xb, Mode.TRAIN, kept=kept[:, lo:lo + width])
-                vals, dvals = loss_and_grad_vec(trace.output, yb, loss)
+            for s, width in enumerate(widths):
+                batch = np.s_[:, s * batch_size:s * batch_size + width]
+                trace = forward(stack, X_epoch[batch], Mode.TRAIN, kept=kept[batch])
+                vals, dvals = loss_and_grad_vec(trace.output, y_epoch[batch], loss)
+                vals = np.where(real[batch], vals, 0.0)
+                dvals = np.where(real[batch], dvals, 0.0)
                 cnt = counts[:, s]
-                if min(per_model) < width:
-                    # padding rows weigh 0; each model's mean is over its real rows
-                    real = np.arange(width) < cnt[:, None]
-                    vals = np.where(real, vals, 0.0)
-                    dvals = np.where(real, dvals, 0.0)
                 used = np.maximum(cnt, 1)
                 batch_mean = vals.sum(axis=-1) / used
                 dvals /= used[:, None]
@@ -299,12 +291,15 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                     state.accumulators[~rows] = held
                 losses[:, s] = batch_mean
 
+            # a finite step can overflow the parameters: every run checks them
+            # once an epoch, before the epoch is scored
+            bad = np.flatnonzero(~np.isfinite(stack.flat).all(axis=-1))
+            if bad.size:
+                raise FloatingPointError(
+                    f"model {bad[0]}: non-finite parameters after epoch {epoch}")
             for b in range(n_models):
                 train_acc = eval_acc = float("nan")
                 if evals is not None:
-                    if not np.isfinite(stack.flat[b]).all():
-                        raise FloatingPointError(
-                            f"model {b}: non-finite parameters after epoch {epoch}")
                     train_acc, eval_acc = (scores(predict_proba(models[b], X), y)["accuracy"]
                                            for X, y in ((Xs[b], ys[b]), evals[b]))
                 history[b].append(EpochRecord(epoch, float(losses[b, :batches[b]].mean()),

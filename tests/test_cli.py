@@ -585,6 +585,23 @@ class TestExitCodes:
         assert proc.stderr == "runtime failure: model 0: non-finite parameters after epoch 1\n"
         assert not workspace["out"].exists()
 
+    def test_risk_whose_last_step_overflows_names_the_model(self, tmp_path):
+        # no evaluation data, one step and one epoch: only the check after the
+        # epoch meets the overflowed parameters before the result is built
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
+        out = tmp_path / "risk"
+        proc = subprocess.run([sys.executable, "-m", "xmargin.cli", "risk",
+                               "--config", str(REPO / "presets" / "sonar_table1.cfg"),
+                               "--confidence", "0.25,0.75",
+                               "--override", f"dataset={REPO / 'data' / 'sonar_standin.csv'}",
+                               "--override", "epochs=1", "--override", "batch_size=1000",
+                               "--override", "alpha=1e308", "--override", f"output_dir={out}"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "runtime failure: model 0: non-finite parameters after epoch 1\n"
+        assert not out.exists()
+
     def test_dataset_of_only_a_label_column_is_a_runtime_failure(self, workspace, capsys):
         data = workspace["data"]
         data.write_text("".join(line.rsplit(",", 1)[1]

@@ -290,6 +290,26 @@ class TestFailures:
                          evals=list(zip(Xs[:2], ys[:2])))
         assert np.isfinite(models[0].flat).all()
 
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_parameters_a_step_overflows_fail_without_evaluation_data(self, monkeypatch,
+                                                                      epochs):
+        def poisoned(trace, model, dvals, out=None):
+            grads = backward(trace, model, dvals, out=out)
+            grads[0][0][1, 0, 0] = 1e308  # finite, but not once multiplied by alpha
+            return grads
+
+        monkeypatch.setattr(optimizer, "backward", poisoned)
+        Xs, ys = unequal_training_sets()
+        models = [build_experiment_model(5, s) for s in (11, 12)]
+        # one step per epoch, so the check after the epoch meets the overflow
+        # before the next epoch's loss or, after the last, the returned copy
+        with pytest.raises(FloatingPointError,
+                           match=r"^model 1: non-finite parameters after epoch 1$"):
+            train_models(models, Xs[:2], ys[:2], LOSS,
+                         OptimizerConfig(method=Method.SUBGRADIENT, alpha=10.0), epochs,
+                         max(len(y) for y in ys), [np.random.default_rng(s) for s in (11, 12)])
+        assert np.isfinite(models[0].flat).all()
+
     def test_infinities_in_two_models_name_the_first(self, monkeypatch):
         def poison(g):
             g[0, 0], g[2, 0] = np.inf, -np.inf
@@ -517,6 +537,33 @@ class TestStacksOfTheCli:
                               cli._accuracy_metric, cfg.seed, scaling=cfg.scaling)
             scores.append(rep.fold_scores)
         assert scores[0] == scores[1] == scores[2]
+
+
+class TestFullBatch:
+    """A batch_size past every training set's rows gives one full batch per
+    epoch, whatever its size."""
+
+    def test_huge_batch_size_equals_the_longest_set_in_results_and_memory(self):
+        Xs, ys = unequal_training_sets()
+        seeds = (11, 12, 13)
+        runs = []
+        for batch_size in (max(len(y) for y in ys), 10**9):
+            models = [build_experiment_model(5, s) for s in seeds]
+            tracemalloc.start()
+            try:
+                out = train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], 2, batch_size,
+                                   [np.random.default_rng(s) for s in seeds])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            runs.append((out, models, peak))
+        (full, full_models, full_peak), (huge, huge_models, huge_peak) = runs
+        for a, b in zip(full, huge):
+            assert np.array_equal(a.model.flat, b.model.flat)
+            assert [h.train_loss for h in a.history] == [h.train_loss for h in b.history]
+        for a, b in zip(full_models, huge_models):
+            assert np.array_equal(a.flat, b.flat)
+        assert abs(huge_peak - full_peak) <= 0.01 * full_peak
 
 
 # parameters of the sonar experiment model (60 features), and its bytes
