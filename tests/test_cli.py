@@ -155,6 +155,10 @@ class TestConfigParsing:
         keys = re.findall(r"^\| `(\w+)` \|", table.split("\n\n", 1)[0], re.M)
         assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
+    def test_readme_quick_start_runs(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        exec(re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1), {})
+
     def test_bool_parsing(self):
         assert parse_config_text("header = true\n")["header"] is True
         assert parse_config_text("header = 0\n")["header"] is False
@@ -891,6 +895,20 @@ class TestCvCommand:
         assert "mean_envelope: [" in report
         assert "repeat_0" in report and "repeat_1" in report
         assert report.count("repeat_means") == 1
+
+    def test_header_and_label_in_column_0_give_the_same_payload(self, workspace):
+        data, cfg, out = workspace["data"], workspace["cfg"], workspace["out"]
+        moved_csv = workspace["tmp"] / "moved.csv"
+        rows = [line.rsplit(",", 1) for line in data.read_text().splitlines()]
+        moved_csv.write_text("class,f1,f2,f3,f4\n"
+                             + "".join(f"{label},{features}\n" for features, label in rows))
+        assert main(["cv", "--config", str(cfg)]) == 0
+        assert main(["cv", "--config", str(cfg), "--override", f"dataset={moved_csv}",
+                     "--override", "header=true", "--override", "label_column=0",
+                     "--override", f"output_dir={out}-moved"]) == 0
+        plain, moved = ((path / "report.txt").read_text().split("payload:\n")[1]
+                        for path in (out, workspace["tmp"] / "out-moved"))
+        assert "  fold_scores:\n" in plain and moved == plain
 
 
 class RecordingGenerator:
