@@ -1,6 +1,9 @@
 import csv
 import itertools
 import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -273,6 +276,16 @@ class TestShippedStandins:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * data.features.nbytes
+
+    def test_regenerates_byte_for_byte(self, tmp_path):
+        # the script writes ../data beside itself
+        (tmp_path / "scripts").mkdir()
+        script = shutil.copy(os.path.join(DATA_DIR, "..", "scripts", "generate_standin_data.py"),
+                             tmp_path / "scripts")
+        subprocess.run([sys.executable, script], check=True, capture_output=True)
+        for name in ("sonar_standin.csv", "ionosphere_standin.csv"):
+            with open(os.path.join(DATA_DIR, name), "rb") as shipped:
+                assert (tmp_path / "data" / name).read_bytes() == shipped.read(), name
 
 
 class TestDataset:
