@@ -764,6 +764,9 @@ BAD_FLAGS = [
     ("grid --lambda-grid nan,1", "must be finite and >= 0"),
     ("grid --lambda-grid 1,1;inf,1", "must be finite and >= 0"),
     ("grid --lambda-grid 1,1 --override k=500", "class 0 has 20 members, fewer than k=500"),
+    # a grid fails once, before any cell, not once per cell
+    ("grid --lambda-grid 1,1;2,2 --override k=500",
+     "class 0 has 20 members, fewer than k=500"),
     ("train --override epochs", "--override: expected 'key = value', got 'epochs'"),
     ("risk", "exactly one of --confidence / --confidence-column is required"),
     ("risk --confidence=", "needs two comma-separated float values"),
@@ -780,6 +783,12 @@ BAD_FLAGS = [
     ("risk --confidence-column -1", "confidence column -1 out of range"),
     ("risk --confidence-column 0", "not a probability"),
     ("risk --confidence 0.5,0.5 --confidence-column 0", "exactly one of"),
+]
+
+# a whole command line that BAD_FLAGS cannot build, and a fragment of its error
+ARGV_AS_GIVEN = [
+    ("boundary --resolution 5", "required: --config"),
+    ("frobnicate --config {cfg}", "invalid choice: 'frobnicate'"),
 ]
 
 # a dataset whose contents cannot be used, its config overrides and the error
@@ -847,6 +856,14 @@ class TestExitCodeTable:
     def test_bad_flag_is_one(self, workspace, capsys, argv, fragment):
         command, *args = argv.split(" ")
         code, err = run_cli(workspace, capsys, command, *args)
+        assert_config_error(code, err)
+        assert fragment in err
+        assert not workspace["out"].exists()
+
+    @pytest.mark.parametrize("argv,fragment", ARGV_AS_GIVEN, ids=[a for a, _ in ARGV_AS_GIVEN])
+    def test_argv_as_given_is_one(self, workspace, capsys, argv, fragment):
+        code = main([a.format(cfg=workspace["cfg"]) for a in argv.split(" ")])
+        err = capsys.readouterr().err
         assert_config_error(code, err)
         assert fragment in err
         assert not workspace["out"].exists()
@@ -1049,13 +1066,6 @@ class TestGridCommand:
         assert capsys.readouterr().err.endswith("runtime failure: every grid cell failed\n")
         assert (out / "grid.csv").read_text().splitlines()[1:] == [
             "1e+308,1e+308,nan,nan,failed"]
-
-    @pytest.mark.usefixtures("no_training")
-    def test_k_larger_than_a_class_exits_before_any_cell(self, workspace, capsys):
-        assert main(["grid", "--config", str(workspace["cfg"]), "--lambda-grid", "1,1;2,2",
-                     "--override", "k=500"]) == 1
-        assert capsys.readouterr().err == "error: class 0 has 20 members, fewer than k=500\n"
-        assert not (workspace["out"] / "grid.csv").exists()
 
     def test_error_that_is_not_a_failed_cell_is_not_hidden(self, workspace, capsys,
                                                            monkeypatch):
@@ -1323,17 +1333,6 @@ class TestRiskCommand:
         assert main(["risk", "--config", str(workspace["cfg"]),
                      "--confidence-column", "0", "--override", "epochs=1"]) == 0
         assert len((workspace["out"] / "risk.csv").read_text().splitlines()) == 1 + 12
-
-
-class TestDeterminism:
-    def test_rerun_is_byte_identical(self, workspace):
-        args = ["train", "--config", str(workspace["cfg"])]
-        assert main(args) == 0
-        first = {name: (workspace["out"] / name).read_bytes()
-                 for name in ("report.txt", "curves.csv")}
-        assert main(args) == 0
-        for name, blob in first.items():
-            assert (workspace["out"] / name).read_bytes() == blob
 
 
 class TestMalformedFlagsExitOne:

@@ -75,11 +75,6 @@ class TestIndicators:
 
 
 class TestGamma:
-    def test_worked_example(self):
-        # 0.36 as evaluated by the same arithmetic in double precision
-        assert gamma(0.80, 1, P11) == (0.80 - (1 - 0.80)) ** 2
-        assert gamma(0.80, 1, P11) == pytest.approx(0.36, abs=1e-15)
-
     def test_misclassified_is_zero(self):
         assert gamma(0.3, 1, LossParams(5.0, 7.0)) == 0.0
 

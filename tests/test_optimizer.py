@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from xmargin.loss_core import LossParams, xtreme_margin_loss
-from xmargin.network import (Activation, Layer, MlpModel, build_boundary_model,
-                             forward_single_layer, predict_proba)
+from xmargin.loss_core import LossParams
+from xmargin.network import Activation, Layer, MlpModel, build_boundary_model, predict_proba
 from xmargin.optimizer import (DECAY, EPSILON, Method, OptimizerConfig, TrainState,
                                rmsprop_step, subgradient_step, train, train_models,
                                verify_subgradient)
@@ -262,34 +261,6 @@ class TestTrainLoop:
                     epochs=40, batch_size=16, rng=np.random.default_rng(3))
         acc = float(np.mean((predict_proba(res.model, X) >= 0.5) == y))
         assert acc >= 0.95
-
-
-class TestConvexToyConvergence:
-    """One effective parameter, conflicting labels at the same input: the
-    batch objective is a V-shaped convex function of the sum w + b, so the
-    best-so-far iterate must land near the grid minimum."""
-
-    @staticmethod
-    def objective(t):
-        y = forward_single_layer(np.array([t]), np.array([1.0]))
-        p = LossParams(0.0, 0.0)
-        return 0.5 * (xtreme_margin_loss(y, 1, p).value
-                      + xtreme_margin_loss(y, 0, p).value)
-
-    def test_best_so_far_matches_grid_minimum(self):
-        X = np.array([[1.0], [1.0]])
-        y = np.array([1, 0])
-        model = MlpModel(layers=[Layer(np.array([[2.0]]), np.array([0.0]),
-                                       Activation.SIGMOID)])
-        res = train(model, X, y, LossParams(0.0, 0.0),
-                    OptimizerConfig(method=Method.SUBGRADIENT, alpha=0.05),
-                    epochs=200, batch_size=2, rng=np.random.default_rng(0))
-        w = res.model.layers[0].weights[0, 0]
-        b = res.model.layers[0].biases[0]
-        best_val = self.objective(w + b)
-        grid = np.linspace(-4.0, 4.0, 10000)
-        grid_min = min(self.objective(t) for t in grid)
-        assert abs(best_val - grid_min) <= 1e-2
 
 
 class TestFlatUpdate:
