@@ -16,12 +16,13 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import xmargin
-from xmargin import cli
+from xmargin import cli, data_pipeline, optimizer
 from xmargin.cli import _accuracy_metric, main, parse_variant
 from xmargin.config import (ConfigError, ExperimentConfig, load_config,
                             parse_config_text, validate)
 from xmargin.data_pipeline import (CELL, DRAWS, INIT, MEMBER, MODEL, PARTITION, SPLIT,
-                                   Scaling, apply_scaler, fit_scaler, repeated_cv, stream)
+                                   CvReport, Scaling, apply_scaler, fit_scaler, repeated_cv,
+                                   stream)
 from xmargin.loss_core import Branch, LossFamily, LossParams, branches
 from xmargin.metrics import scores
 from xmargin.network import build_boundary_model, build_experiment_model
@@ -72,16 +73,23 @@ def workspace(tmp_path):
 @pytest.fixture
 def no_training(monkeypatch):
     """Any training fails the run: an input must be rejected before it."""
-    import xmargin.cli as cli_mod
 
     def no_training(*args, **kwargs):
         raise AssertionError("trained before the input was checked")
 
     for name in ("train_models", "train_loop"):
-        monkeypatch.setattr(cli_mod, name, no_training)
+        monkeypatch.setattr(cli, name, no_training)
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+# the environment of a child Python that imports this xmargin, and the same
+# under an ASCII locale, with UTF-8 mode and locale coercion off
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
+ASCII_CHILD_ENV = {**CHILD_ENV, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
+                   "PYTHONCOERCECLOCALE": "0"}
+# the sonar preset on its stand-in dataset
+SONAR = ["--config", str(REPO / "presets" / "sonar_table1.cfg"),
+         "--override", f"dataset={REPO / 'data' / 'sonar_standin.csv'}"]
 PRESETS = sorted(p.name for p in (REPO / "presets").glob("*.cfg"))
 
 # each enum-valued key, every member of its enum, and a spelling of the member
@@ -168,10 +176,7 @@ class TestConfigParsing:
 
 class TestValidation:
     def test_one_config_error_class(self):
-        import xmargin.cli as cli_mod
-        from xmargin import data_pipeline
-
-        assert ConfigError is data_pipeline.ConfigError is cli_mod.ConfigError
+        assert ConfigError is data_pipeline.ConfigError is cli.ConfigError
         assert issubclass(data_pipeline.LabelChoiceError, data_pipeline.IngestionError)
         assert issubclass(data_pipeline.LabelChoiceError, ConfigError)
 
@@ -408,32 +413,26 @@ class TestColumnWriter:
 
     def test_importing_the_cli_does_not_import_orjson(self):
         # only a command that writes a numpy column pays for the import
-        env = {**os.environ,
-               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
         code = "import sys, xmargin.cli; sys.exit('orjson' in sys.modules)"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, check=True)
 
     def test_cv_and_train_runs_do_not_import_orjson(self, workspace):
         # they write no numpy column (train's curves.csv is tuples), so the
         # formatter's lazy import is never reached
-        env = {**os.environ,
-               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
         code = ("import sys; from xmargin.cli import main; "
                 "assert main(['train', '--config', sys.argv[1]]) == 0; "
                 "assert main(['cv', '--config', sys.argv[1]]) == 0; "
                 "sys.exit('orjson' in sys.modules)")
-        subprocess.run([sys.executable, "-c", code, str(workspace["cfg"])], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code, str(workspace["cfg"])], env=CHILD_ENV,
+                       check=True)
         assert (workspace["out"] / "curves.csv").exists()
 
     def test_atomic_write_is_utf8_under_an_ascii_locale(self, tmp_path):
         text = "output_dir: out/ünïcødé/résumé ✓ 数据\n"
         path = tmp_path / "report.txt"
-        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
-               "PYTHONCOERCECLOCALE": "0",
-               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
         code = ("import sys; from xmargin.report import atomic_write; "
                 f"atomic_write(sys.argv[1], [{ascii(text)}])")
-        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code, str(path)], env=ASCII_CHILD_ENV, check=True)
         assert path.read_bytes() == text.encode("utf-8")
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -495,13 +494,10 @@ class TestUtf8Inputs:
         data, cfg = workspace["data"], workspace["cfg"]
         data.write_text(data.read_text().replace(",neg", ",négatif"), encoding="utf-8")
         cfg.write_text("# λ sweep ✓\n" + cfg.read_text(), encoding="utf-8")
-        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
-               "PYTHONCOERCECLOCALE": "0",
-               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
         for command in ("loss-curve", "train"):
             proc = subprocess.run([sys.executable, "-m", "xmargin.cli", command,
                                    "--config", str(cfg)],
-                                  env=env, capture_output=True, text=True)
+                                  env=ASCII_CHILD_ENV, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
 
     def test_output_dir_the_file_system_cannot_encode_is_a_config_error(self, workspace):
@@ -509,12 +505,9 @@ class TestUtf8Inputs:
         cfg.write_text(cfg.read_text().replace(f"output_dir = {out}",
                                                f"output_dir = {out}/résumé"),
                        encoding="utf-8")
-        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
-               "PYTHONCOERCECLOCALE": "0",
-               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
         proc = subprocess.run([sys.executable, "-m", "xmargin.cli", "loss-curve",
                                "--config", str(cfg), "--samples", "3"],
-                              env=env, capture_output=True, text=True)
+                              env=ASCII_CHILD_ENV, capture_output=True, text=True)
         assert proc.returncode == 1, proc.stderr
         assert "output_dir" in proc.stderr
         assert not out.exists()
@@ -569,27 +562,25 @@ class TestExitCodes:
     # a step that overflows fails the run once, naming the model, with no numpy
     # warnings beside it: the pattern must match the whole of stderr
     @pytest.mark.parametrize("argv,stderr", [
-        ("cv --config {cfg} --override alpha=1e308 --override repeats=1 --override epochs=1",
+        ("cv --config {cfg} --override alpha=1e308 --override repeats=1"
+         " --override epochs=1".split(" "),
          r"runtime failure: CV cell failed at repeat 0, fold 0: "
          r"model 0: non-finite training loss at epoch 1, step \d+\n"),
         # one step per epoch, so the overflowed parameters are met when the
         # epoch is scored, not by the next step's loss
         ("train --config {cfg} --override alpha=1e308 --override batch_size=1000"
-         " --override epochs=2", re.escape(OVERFLOW)),
+         " --override epochs=2".split(" "), re.escape(OVERFLOW)),
         # no evaluation data, one step and one epoch: only the check after the
         # epoch meets the overflowed parameters before the result is built
-        ("risk --config {repo}/presets/sonar_table1.cfg --confidence 0.25,0.75"
-         " --override dataset={repo}/data/sonar_standin.csv --override epochs=1"
-         " --override batch_size=1000 --override alpha=1e308 --override output_dir={out}",
+        (["risk", *SONAR, *"--confidence 0.25,0.75 --override epochs=1 --override"
+          " batch_size=1000 --override alpha=1e308 --override output_dir={out}".split(" ")],
          re.escape(OVERFLOW)),
     ], ids=["cv", "train", "risk"])
     def test_overflowing_run_fails_with_one_stderr_line(self, workspace, argv, stderr):
-        env = {**os.environ,
-               "PYTHONPATH": os.path.dirname(os.path.dirname(xmargin.__file__))}
         proc = subprocess.run([sys.executable, "-m", "xmargin.cli",
-                               *(a.format(cfg=workspace["cfg"], out=workspace["out"], repo=REPO)
-                                 for a in argv.split(" "))],
-                              env=env, capture_output=True, text=True)
+                               *(a.format(cfg=workspace["cfg"], out=workspace["out"])
+                                 for a in argv)],
+                              env=CHILD_ENV, capture_output=True, text=True)
         assert proc.returncode == 2
         assert re.fullmatch(stderr, proc.stderr), proc.stderr
         assert not workspace["out"].exists()
@@ -622,11 +613,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["cv", "train"])
     def test_unwritable_output_dir_is_two(self, workspace, capsys, monkeypatch, command):
-        import xmargin.cli as cli_mod
-
         trained = []
         for name in ("train_models", "train_loop"):
-            monkeypatch.setattr(cli_mod, name, lambda *args, **kwargs: trained.append(1))
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: trained.append(1))
         blocker = workspace["tmp"] / "blocker"
         blocker.write_text("a regular file, not a directory\n")
         assert main([command, "--config", str(workspace["cfg"]), "--override",
@@ -1037,10 +1026,7 @@ class TestGridCommand:
         assert "argmax:" in report
 
     def test_failed_cell_is_left_out_of_the_argmax(self, tmp_path, capsys):
-        root = os.path.join(os.path.dirname(__file__), "..")
-        assert main(["grid", "--config", os.path.join(root, "presets", "sonar_table1.cfg"),
-                     "--lambda-grid", "1,1;1e308,1e308",
-                     "--override", f"dataset={os.path.join(root, 'data', 'sonar_standin.csv')}",
+        assert main(["grid", *SONAR, "--lambda-grid", "1,1;1e308,1e308",
                      "--override", "repeats=1", "--override", "epochs=1",
                      "--override", f"output_dir={tmp_path}"]) == 0
         err = capsys.readouterr().err.splitlines()
@@ -1056,11 +1042,8 @@ class TestGridCommand:
         assert "  argmax:\n    lambda1: 1.0\n    lambda2: 1.0\n" in report
 
     def test_grid_whose_every_cell_fails_keeps_its_grid_csv(self, tmp_path, capsys):
-        root = os.path.join(os.path.dirname(__file__), "..")
         out = tmp_path / "fresh" / "a"
-        assert main(["grid", "--config", os.path.join(root, "presets", "sonar_table1.cfg"),
-                     "--lambda-grid", "1e308,1e308",
-                     "--override", f"dataset={os.path.join(root, 'data', 'sonar_standin.csv')}",
+        assert main(["grid", *SONAR, "--lambda-grid", "1e308,1e308",
                      "--override", "repeats=1", "--override", "epochs=1",
                      "--override", f"output_dir={out}"]) == 2
         assert capsys.readouterr().err.endswith("runtime failure: every grid cell failed\n")
@@ -1069,26 +1052,30 @@ class TestGridCommand:
 
     def test_error_that_is_not_a_failed_cell_is_not_hidden(self, workspace, capsys,
                                                            monkeypatch):
-        import xmargin.cli as cli_mod
-
         def broken_cv(*args, **kwargs):
             raise TypeError("a programming error")
 
-        monkeypatch.setattr(cli_mod, "repeated_cv", broken_cv)
+        monkeypatch.setattr(cli, "repeated_cv", broken_cv)
         assert main(["grid", "--config", str(workspace["cfg"]),
                      "--lambda-grid", "1,1;2,2"]) == 2
         assert capsys.readouterr().err == "runtime failure: a programming error\n"
         assert not (workspace["out"] / "grid.csv").exists()
 
-    def test_argmax_tiebreak_prefers_small_std_then_small_lambda(self):
-        # replicate the selection rule on constructed cells
-        cells = [(10.0, 10.0, 0.9, 0.05), (1.0, 1.0, 0.9, 0.05),
-                 (5.0, 5.0, 0.9, 0.01)]
-        best = min(cells, key=lambda c: (-c[2], c[3], c[0], c[1]))
-        assert best == (5.0, 5.0, 0.9, 0.01)
-        cells = [(10.0, 1.0, 0.9, 0.05), (1.0, 10.0, 0.9, 0.05)]
-        best = min(cells, key=lambda c: (-c[2], c[3], c[0], c[1]))
-        assert best[0] == 1.0
+    def test_argmax_tiebreak_prefers_small_std_then_small_lambda(self, workspace, monkeypatch,
+                                                                 no_training):
+        # dyadic fold scores make the three means of 0.875 bit-equal; the
+        # argmax takes the largest mean, then the smaller std (0 before 0.125),
+        # then the smaller lambda1 and only then lambda2; the grid lists the
+        # larger lambda1 first, so a key without the lambdas picks the wrong cell
+        folds = {(10.0, 1.0): [0.875, 0.875], (0.5, 0.5): [0.75, 1.0],
+                 (1.0, 10.0): [0.875, 0.875], (0.25, 0.25): [0.75, 0.75]}
+        monkeypatch.setattr(cli, "_cv", lambda cfg, data: CvReport(
+            [folds[cfg.lambda1, cfg.lambda2]]))
+        assert main(["grid", "--config", str(workspace["cfg"]),
+                     "--lambda-grid", "10,1;0.5,0.5;1,10;0.25,0.25"]) == 0
+        assert ("\n  argmax:\n    lambda1: 1.0\n    lambda2: 10.0\n"
+                "    mean_cv_accuracy: 0.875\n    std_cv_accuracy: 0.0\n"
+                in (workspace["out"] / "report.txt").read_text())
 
 
 class TestBoundaryCommand:
@@ -1144,10 +1131,6 @@ class TestBoundaryCommand:
                      "--features", "0,1"]) == 1
         assert "constant" in capsys.readouterr().err
 
-    def test_identical_features_rejected(self, workspace):
-        assert main(["boundary", "--config", str(workspace["cfg"]),
-                     "--features", "1,1"]) == 1
-
 
 EDGE = np.array([0.5, np.nextafter(0.5, 0.0)])  # class 1, then class 0
 
@@ -1163,10 +1146,8 @@ def classes_by_accuracy_metric(probs, workspace, monkeypatch):
 
 
 def classes_by_boundary_csv(probs, workspace, monkeypatch):
-    import xmargin.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "_fit", lambda *args: SimpleNamespace(model=None))
-    monkeypatch.setattr(cli_mod, "predict_proba", lambda model, X: np.resize(probs, len(X)))
+    monkeypatch.setattr(cli, "_fit", lambda *args: SimpleNamespace(model=None))
+    monkeypatch.setattr(cli, "predict_proba", lambda model, X: np.resize(probs, len(X)))
     assert main(["boundary", "--config", str(workspace["cfg"]), "--features", "0,1",
                  "--resolution", "2"]) == 0
     rows = (workspace["out"] / "boundary_grid.csv").read_text().splitlines()[1:]
@@ -1174,13 +1155,11 @@ def classes_by_boundary_csv(probs, workspace, monkeypatch):
 
 
 def classes_by_boundary_train_accuracy(probs, workspace, monkeypatch):
-    import xmargin.cli as cli_mod
-
     make_dataset(workspace["data"], n0=10, n1=30)  # all class 1 scores 0.75, all class 0 0.25
-    monkeypatch.setattr(cli_mod, "_fit", lambda *args: SimpleNamespace(model=None))
+    monkeypatch.setattr(cli, "_fit", lambda *args: SimpleNamespace(model=None))
     classes = []
     for p in probs:
-        monkeypatch.setattr(cli_mod, "predict_proba", lambda model, X, p=p: np.full(len(X), p))
+        monkeypatch.setattr(cli, "predict_proba", lambda model, X, p=p: np.full(len(X), p))
         assert main(["boundary", "--config", str(workspace["cfg"]), "--features", "0,1",
                      "--resolution", "2"]) == 0
         report = (workspace["out"] / "report.txt").read_text()
@@ -1195,11 +1174,9 @@ def classes_by_branches(probs, workspace, monkeypatch):
 
 
 def classes_by_epoch_accuracy(probs, workspace, monkeypatch):
-    import xmargin.optimizer as optimizer_mod
-
     classes = []
     for p in probs:
-        monkeypatch.setattr(optimizer_mod, "predict_proba", lambda model, X: np.full(len(X), p))
+        monkeypatch.setattr(optimizer, "predict_proba", lambda model, X: np.full(len(X), p))
         X, y = np.zeros((1, 2)), np.array([1])
         result = train(build_boundary_model(2, 0), X, y, LossParams(), OptimizerConfig(),
                        epochs=1, batch_size=1, rng=np.random.default_rng(0),
@@ -1267,13 +1244,8 @@ class TestBiasCommand:
             assert 0.0 <= float(r.split(",")[-1]) <= 1.0
 
     def test_degenerate_ensemble_warns(self, workspace, monkeypatch):
-        import xmargin.cli as cli_mod
-
-        def same_model(input_dim, seed):
-            from xmargin.network import build_experiment_model
-            return build_experiment_model(input_dim, 1234)
-
-        monkeypatch.setattr(cli_mod, "build_experiment_model", same_model)
+        monkeypatch.setattr(cli, "build_experiment_model",
+                            lambda input_dim, seed: build_experiment_model(input_dim, 1234))
         assert main(["bias", "--config", str(workspace["cfg"]),
                      "--variants", "bce", "--ensemble-size", "2",
                      "--override", "alpha=0"]) == 0
@@ -1281,21 +1253,15 @@ class TestBiasCommand:
         assert "degenerate ensemble" in report
 
     def test_nearly_identical_ensemble_does_not_warn(self, workspace, monkeypatch):
-        import xmargin.cli as cli_mod
-
         # member m predicts 0.3 * (1 + 1e-7 * m): members that differ, although
         # by less than np.allclose's default relative tolerance of 1e-5
-        monkeypatch.setattr(cli_mod, "_fit_many", lambda build, cfg, jobs: (
+        monkeypatch.setattr(cli, "_fit_many", lambda build, cfg, jobs: (
             SimpleNamespace(model=m) for m, _ in enumerate(jobs)))
-        monkeypatch.setattr(cli_mod, "predict_proba",
+        monkeypatch.setattr(cli, "predict_proba",
                             lambda model, X: np.full(len(X), 0.3 * (1 + 1e-7 * model)))
         assert main(["bias", "--config", str(workspace["cfg"]),
                      "--variants", "bce", "--ensemble-size", "2"]) == 0
         assert "degenerate ensemble" not in (workspace["out"] / "report.txt").read_text()
-
-    def test_small_ensemble_rejected(self, workspace):
-        assert main(["bias", "--config", str(workspace["cfg"]),
-                     "--ensemble-size", "1"]) == 1
 
 
 class TestRiskCommand:
@@ -1308,22 +1274,6 @@ class TestRiskCommand:
         for r in rows[1:]:
             risk = float(r.split(",")[2])
             assert 0.0 < risk <= math.e
-
-    def test_requires_exactly_one_confidence_source(self, workspace):
-        assert main(["risk", "--config", str(workspace["cfg"])]) == 1
-        assert main(["risk", "--config", str(workspace["cfg"]),
-                     "--confidence", "0.5,0.5",
-                     "--confidence-column", "0"]) == 1
-
-    def test_non_probability_column_rejected_before_training(self, tmp_path, capsys,
-                                                            no_training):
-        root = os.path.join(os.path.dirname(__file__), "..")
-        assert main(["risk", "--config", os.path.join(root, "presets", "sonar_table1.cfg"),
-                     "--confidence-column", "3",
-                     "--override", f"dataset={os.path.join(root, 'data', 'sonar_standin.csv')}",
-                     "--override", f"output_dir={tmp_path}"]) == 1
-        assert "confidence column 3" in capsys.readouterr().err
-        assert not (tmp_path / "risk.csv").exists()
 
     def test_probability_column_accepted(self, workspace):
         lines = workspace["data"].read_text().splitlines()

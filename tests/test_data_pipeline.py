@@ -572,10 +572,8 @@ class TestRepeatedCv:
                             default_class_raw_label="pos")
         repeated_cv(perturbed, 2, 1, recording_fn("b"), accuracy_metric,
                     seed=4, scaling=Scaling.MINMAX)
-        # fold 0 is trained on fold-!=0 rows minus the victim's influence:
-        # cell order is (fold 0 held out? no...) — cells run fold=0 then fold=1;
-        # when fold 1 is held out (second cell) the victim is excluded from
-        # fitting, so that training matrix must be identical
+        # the victim is in fold 1, so the second cell, which holds fold 1 out,
+        # fits its scaler without the victim and must get the same matrix
         assert np.array_equal(seen["a"][1], seen["b"][1])
         # when the victim is inside the training folds the stats must differ
         assert not np.array_equal(seen["a"][0], seen["b"][0])

@@ -117,6 +117,23 @@ def oracle_fn(config):
     return fn
 
 
+def poison_backward(monkeypatch, poison, at=None):
+    """From now on, `optimizer.backward` lets `poison(out)` edit the stack's
+    gradient array at its `at`-th call, or at every call when `at` is None;
+    returns the stack's parameters as each call saw them, before its step."""
+    before = []
+
+    def poisoned(trace, model, dvals, out=None):
+        grads = backward(trace, model, dvals, out=out)
+        before.append(model.flat.copy())
+        if at is None or len(before) == at:
+            poison(out)
+        return grads
+
+    monkeypatch.setattr(optimizer, "backward", poisoned)
+    return before
+
+
 def accuracy_metric(predictor, X, y):
     return float(np.mean((predictor(X) >= 0.5).astype(int) == y))
 
@@ -225,17 +242,11 @@ class TestFailures:
     def test_non_finite_gradient_fails_the_stack_before_its_step(self, monkeypatch, name):
         Xs, ys = unequal_training_sets()
         seeds = [11, 12, 13]
-        before = []
 
-        def poisoned(trace, model, dvals, out=None):
-            # model 1's gradient turns NaN at the fourth step; its loss does not
-            grads = backward(trace, model, dvals, out=out)
-            before.append(model.flat.copy())
-            if len(before) == 4:
-                out[1, 0] = np.nan
-            return grads
+        def poison(g):
+            g[1, 0] = np.nan  # model 1's gradient turns NaN; its loss does not
 
-        monkeypatch.setattr(optimizer, "backward", poisoned)
+        before = poison_backward(monkeypatch, poison, at=4)
         models = [build_experiment_model(5, s) for s in seeds]
         with pytest.raises(ValueError, match=r"^model 1: non-finite gradient; step rejected$"):
             train_models(models, Xs, ys, LOSS, CONFIGS[name], EPOCHS, BATCH,
@@ -248,17 +259,8 @@ class TestFailures:
     def poisoned_run(monkeypatch, poison):
         """Train three models with rmsprop; `poison(out)` edits the stack's
         gradient array at the fourth step."""
+        poison_backward(monkeypatch, poison, at=4)
         Xs, ys = unequal_training_sets()
-        calls = []
-
-        def poisoned(trace, model, dvals, out=None):
-            grads = backward(trace, model, dvals, out=out)
-            calls.append(None)
-            if len(calls) == 4:
-                poison(out)
-            return grads
-
-        monkeypatch.setattr(optimizer, "backward", poisoned)
         models = [build_experiment_model(5, s) for s in (11, 12, 13)]
         return models, train_models(models, Xs, ys, LOSS, CONFIGS["rmsprop"], EPOCHS,
                                     BATCH, [np.random.default_rng(s) for s in (11, 12, 13)])
@@ -272,43 +274,34 @@ class TestFailures:
         assert all(type(o) is TrainResult for o in out)
         assert all(np.isfinite(m.flat).all() for m in models)
 
-    def test_parameters_a_step_overflows_fail_before_the_epoch_is_scored(self, monkeypatch):
-        def poisoned(trace, model, dvals, out=None):
-            grads = backward(trace, model, dvals, out=out)
-            grads[0][0][1, 0, 0] = 1e308  # finite, but not once multiplied by alpha
-            return grads
+    @staticmethod
+    def overflow_a_step(monkeypatch, epochs, scored):
+        """Train two models with one subgradient step per epoch, whose step
+        overflows model 1's parameters; `scored` gives them evaluation data."""
+        def poison(g):
+            g[1, 0] = 1e308  # finite, but not once multiplied by alpha
 
-        monkeypatch.setattr(optimizer, "backward", poisoned)
+        poison_backward(monkeypatch, poison)
         Xs, ys = unequal_training_sets()
         models = [build_experiment_model(5, s) for s in (11, 12)]
-        # one step per epoch; scoring model 1's parameters would read NaN probabilities
-        with pytest.raises(FloatingPointError,
-                           match=r"^model 1: non-finite parameters after epoch 1$"):
-            train_models(models, Xs[:2], ys[:2], LOSS,
-                         OptimizerConfig(method=Method.SUBGRADIENT, alpha=10.0), 2,
-                         max(len(y) for y in ys), [np.random.default_rng(s) for s in (11, 12)],
-                         evals=list(zip(Xs[:2], ys[:2])))
-        assert np.isfinite(models[0].flat).all()
-
-    @pytest.mark.parametrize("epochs", [1, 2])
-    def test_parameters_a_step_overflows_fail_without_evaluation_data(self, monkeypatch,
-                                                                      epochs):
-        def poisoned(trace, model, dvals, out=None):
-            grads = backward(trace, model, dvals, out=out)
-            grads[0][0][1, 0, 0] = 1e308  # finite, but not once multiplied by alpha
-            return grads
-
-        monkeypatch.setattr(optimizer, "backward", poisoned)
-        Xs, ys = unequal_training_sets()
-        models = [build_experiment_model(5, s) for s in (11, 12)]
-        # one step per epoch, so the check after the epoch meets the overflow
-        # before the next epoch's loss or, after the last, the returned copy
         with pytest.raises(FloatingPointError,
                            match=r"^model 1: non-finite parameters after epoch 1$"):
             train_models(models, Xs[:2], ys[:2], LOSS,
                          OptimizerConfig(method=Method.SUBGRADIENT, alpha=10.0), epochs,
-                         max(len(y) for y in ys), [np.random.default_rng(s) for s in (11, 12)])
+                         max(len(y) for y in ys), [np.random.default_rng(s) for s in (11, 12)],
+                         evals=list(zip(Xs[:2], ys[:2])) if scored else None)
         assert np.isfinite(models[0].flat).all()
+
+    def test_parameters_a_step_overflows_fail_before_the_epoch_is_scored(self, monkeypatch):
+        # scoring model 1's parameters would read NaN probabilities
+        self.overflow_a_step(monkeypatch, epochs=2, scored=True)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_parameters_a_step_overflows_fail_without_evaluation_data(self, monkeypatch,
+                                                                      epochs):
+        # the check after the epoch meets the overflow before the next epoch's
+        # loss or, after the last, the returned copy
+        self.overflow_a_step(monkeypatch, epochs, scored=False)
 
     def test_infinities_in_two_models_name_the_first(self, monkeypatch):
         def poison(g):
