@@ -42,6 +42,8 @@ OVERFLOW = "runtime failure: model 0: non-finite parameters after epoch 1\n"
 
 TABLE = [
     Entry(f"loss-curve {CURVES}"),
+    # a CSV of more than one 4096-row block, with a list column beside numpy ones
+    Entry(f"loss-curve {CURVES} --samples 4097"),
     Entry(f"train {CURVES} --override epochs=5"),
     Entry(f"train {CURVES} --override epochs=2 --override optimizer=RMSprop"
           " --override loss_family=Xtreme-Margin --override scaling=ZScore"),

@@ -10,6 +10,7 @@ object array, and each block's cells are gathered from it in one indexing
 step, so no per-cell Python call is made for such a column. A numpy block
 of bools, ints or floats is formatted by one orjson call, with the bytes
 `_fmt` writes: `repr` is called only where orjson's float notation differs.
+A block's text is one join over its cells, each followed by its separator.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def write_csv(path: str, header: list[str], columns) -> None:
     list or an `Indexed`) per header name. A cell holds `_fmt`'s bytes (a
     float's Python `repr`), one orjson call per block of a numpy bool, int or
     float column, so identical runs emit identical bytes. Rows are formatted
-    and written in blocks of 4096. An `Indexed` column's strings are
+    and written in blocks of 4096, a block's text being one join over its
+    cells and their separators. An `Indexed` column's strings are
     formatted once into an object array; each block takes its cells as
     `strings[index block]`."""
     lengths = [len(col) for col in columns]
@@ -136,9 +138,14 @@ def write_csv(path: str, header: list[str], columns) -> None:
         return lambda lo: _cells(col[lo:lo + block])
 
     cells = [block_cells(col) for col in columns]
+    # a row's separators: each cell goes in the slot before its separator
+    row = [","] * (2 * len(cells) - 1) + ["\n"]
 
     def lines(lo: int) -> str:
-        return "\n".join(map(",".join, zip(*(c(lo) for c in cells)))) + "\n"
+        flat = row * min(block, lengths[0] - lo)
+        for j, c in enumerate(cells):
+            flat[2 * j::len(row)] = c(lo)
+        return "".join(flat)
 
     atomic_write(path, itertools.chain(
         [",".join(header) + "\n"],

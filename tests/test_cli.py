@@ -1299,11 +1299,6 @@ class TestMalformedFlagsExitOne:
         assert main([a.format(cfg=workspace["cfg"]) for a in argv]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_non_numeric_lambda_grid(self, workspace, capsys):
-        assert main(["grid", "--config", str(workspace["cfg"]),
-                     "--lambda-grid", "1,x"]) == 1
-        assert "error:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("grid", ["1,1;1,-1", "nan,1;1,1"])
     def test_invalid_lambda_grid_cell_before_training(self, workspace, capsys,
                                                       no_training, grid):
@@ -1311,21 +1306,6 @@ class TestMalformedFlagsExitOne:
                      "--lambda-grid", grid]) == 1
         assert "must be finite and >= 0" in capsys.readouterr().err
         assert not (workspace["out"] / "grid.csv").exists()
-
-    def test_single_boundary_feature(self, workspace, capsys):
-        assert main(["boundary", "--config", str(workspace["cfg"]),
-                     "--features", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_single_confidence_value(self, workspace, capsys):
-        assert main(["risk", "--config", str(workspace["cfg"]),
-                     "--confidence", "0.5"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_confidence_not_a_distribution(self, workspace, capsys):
-        assert main(["risk", "--config", str(workspace["cfg"]),
-                     "--confidence", "0.3,0.3"]) == 1
-        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("confidence", ["nan,nan", "nan,1"])
     def test_confidence_not_finite(self, workspace, capsys, confidence):
