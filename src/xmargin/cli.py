@@ -155,8 +155,11 @@ def cmd_cv(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_grid(cfg: ExperimentConfig, lambda_grid: list[LossParams]) -> dict:
-    """Repeated CV of each (lambda1, lambda2) cell of `lambda_grid`, with the
-    config's loss family."""
+    """Repeated CV of each (lambda1, lambda2) cell of `lambda_grid`. Only the
+    Xtreme Margin loss reads lambda, so any other loss family is refused."""
+    if cfg.loss_family is not LossFamily.XTREME_MARGIN:
+        raise ConfigError("grid needs loss_family = xtreme_margin: "
+                          f"{cfg.loss_family.value} has no lambda to vary")
     data = _load_dataset(cfg)
     rows = []
     for l1, l2 in ((p.lambda1, p.lambda2) for p in lambda_grid):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ def atomic_write(path: str, chunks) -> None:
     create it, with mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex}")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(16).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
