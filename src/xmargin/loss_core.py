@@ -186,19 +186,27 @@ def loss_and_grad_vec(y: np.ndarray, y_true: np.ndarray,
 
     # Where |y - y_true| >= 0.5 gamma is 0, so the value 1/(1 + e^{-gap} - 1)
     # is e^{gap}; elsewhere sigma is 0 and the prediction is correct.
-    correct, misclassified, d_correct, d_misclassified = pieces(y, yt, params)
-    sigma_active = np.abs(y - yt) >= 0.5
+    diff = y - yt
+    gap = np.abs(diff)
+    correct, misclassified, d_correct, d_misclassified = pieces(y, yt, params, diff, gap)
+    sigma_active = gap >= 0.5
     return (np.where(sigma_active, misclassified, correct),
             np.where(sigma_active, d_misclassified, d_correct))
 
 
-def pieces(y, y_true, params: LossParams) -> tuple[np.ndarray, ...]:
+def pieces(y, y_true, params: LossParams, diff=None, gap=None) -> tuple[np.ndarray, ...]:
     """(correct, misclassified, d_correct, d_misclassified) at every instance,
     active or not: 1/(1 + lam*(2y-1)^2), lam chosen by the true class, and
-    e^{|y_true - y|}, with their derivatives d/dy (from the left at y == y_true)."""
-    egap = np.exp(np.abs(y - y_true))
+    e^{|y_true - y|}, with their derivatives d/dy. At y == y_true, where the
+    correct piece is the active one, the exponential piece's derivative is
+    the one from the right, +1. A caller that has diff = y - y_true and
+    gap = |diff| passes both; otherwise they are computed here."""
+    if diff is None:
+        diff = np.subtract(y, y_true)
+        gap = np.abs(diff)
+    egap = np.exp(gap)
     lam = np.where(y_true == 0.0, params.lambda1, params.lambda2)
     m = 2.0 * y - 1.0
     lam_m = lam * m
     denom = 1.0 + lam_m * m
-    return 1.0 / denom, egap, -4.0 * lam_m / (denom * denom), np.where(y > y_true, egap, -egap)
+    return 1.0 / denom, egap, -4.0 * lam_m / (denom * denom), np.copysign(egap, diff)

@@ -175,6 +175,9 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     loss, reverse-mode gradients and one optimizer step over the (B, P)
     parameters. Models with fewer training rows pad their last minibatch
     with zero-weight rows and sit out a step in which they have no rows left.
+    Each step's views of the epoch arrays, its per-model divisors and its
+    padding mask are made once per call; a mask applies only to a step with
+    padding rows, so a step in which every model fills the width has none.
 
     The stack fails as a whole. A model's bad input raises ValueError before
     any training; a non-finite minibatch loss (FloatingPointError) or
@@ -240,6 +243,19 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
     y_epoch = np.zeros((n_models, n_max))
     kept = np.zeros((n_models, n_max, keep.size), dtype=bool)
     real = np.arange(n_max) < n[:, None]
+    # one entry per step of an epoch: the step's views of the epoch arrays,
+    # valid in every epoch since those are refilled in place; the divisor of
+    # each model's mean, as a (B,) and a (B, 1) array; the models sitting out
+    # (None when every model takes the step); and the step's padding mask,
+    # None when no model has fewer rows than the step's width
+    plan = []
+    for s, width in enumerate(widths):
+        batch = np.s_[:, s * batch_size:s * batch_size + width]
+        used = np.maximum(counts[:, s], 1)
+        idle = counts[:, s] == 0
+        plan.append((X_epoch[batch], y_epoch[batch], kept[batch], used, used[:, None],
+                     idle if idle.any() else None,
+                     real[batch] if (counts[:, s] < width).any() else None))
 
     history = [[] for _ in range(n_models)]
     losses = np.empty(counts.shape)
@@ -253,42 +269,39 @@ def train_models(models: list[MlpModel], Xs, ys, loss: LossParams,
                 ys[b].take(order, out=y_epoch[b, :n[b]])
                 np.less(rngs[b].random((n[b], keep.size)), keep, out=kept[b, :n[b]])
 
-            for s, width in enumerate(widths):
-                batch = np.s_[:, s * batch_size:s * batch_size + width]
-                trace = forward(stack, X_epoch[batch], Mode.TRAIN, kept=kept[batch])
-                vals, dvals = loss_and_grad_vec(trace.output, y_epoch[batch], loss)
-                vals = np.where(real[batch], vals, 0.0)
-                dvals = np.where(real[batch], dvals, 0.0)
-                cnt = counts[:, s]
-                used = np.maximum(cnt, 1)
+            for s, (X_s, y_s, kept_s, used, used_col, idle, pad) in enumerate(plan):
+                trace = forward(stack, X_s, Mode.TRAIN, kept=kept_s)
+                vals, dvals = loss_and_grad_vec(trace.output, y_s, loss)
+                if pad is not None:
+                    vals = np.where(pad, vals, 0.0)
+                    dvals = np.where(pad, dvals, 0.0)
                 batch_mean = vals.sum(axis=-1) / used
-                dvals /= used[:, None]
+                dvals /= used_col
                 backward(trace, stack, dvals, out=grads)
                 # losses are bounded, so their sum is finite exactly when each is
                 if not (np.isfinite(grads).all() and math.isfinite(batch_mean.sum())):
                     finite = np.isfinite(grads).all(axis=-1)
-                    for b in np.flatnonzero(cnt > 0):
+                    for b in np.flatnonzero(counts[:, s]):  # the models taking the step
                         if not math.isfinite(batch_mean[b]):
                             raise FloatingPointError(
                                 f"model {b}: non-finite training loss at epoch {epoch}, "
                                 f"step {(epoch - 1) * batches[b] + s}")
                         if not finite[b]:
                             raise ValueError(f"model {b}: non-finite gradient; step rejected")
-                rows = cnt > 0  # the models taking this step
                 held = None
-                if not rows.all():
+                if idle is not None:
                     # a model sitting out scores no loss (its history reads only
                     # the steps it took) and keeps its parameters; RMSprop
                     # accumulators would still decay, so they are put back
-                    batch_mean[~rows] = np.inf
-                    grads[~rows] = 0.0
+                    batch_mean[idle] = np.inf
+                    grads[idle] = 0.0
                     if state.accumulators is not None:
-                        held = state.accumulators[~rows]
+                        held = state.accumulators[idle]
                 # the snapshot pairs each loss with the parameters that scored it
                 state.note_loss(batch_mean)
                 step(state, grads)
                 if held is not None:
-                    state.accumulators[~rows] = held
+                    state.accumulators[idle] = held
                 losses[:, s] = batch_mean
 
             # a finite step can overflow the parameters: every run checks them

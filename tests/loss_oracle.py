@@ -5,8 +5,8 @@ does not share.
 The Xtreme Margin value is the paper's 1 / (1 + sigma + gamma), built here
 from its own scalar terms: the misclassification penalty sigma, the
 threshold rule and the indicators I(y_true = y_pred) that switch gamma on.
-Its derivative is the per-piece formula, and BCE and hinge use `math.log`
-and plain branches. Only the package's parameter types and the BCE clamp
+Its derivative is the per-piece formula, and BCE and hinge use `math.log`,
+`math.log1p` and plain branches. Only the package's parameter types and the BCE clamp
 are imported.
 """
 
@@ -76,7 +76,7 @@ def xtreme_margin_subgrad(y: float, y_true: int, params: LossParams) -> float:
 
 def bce_loss(y: float, y_true: int) -> tuple[float, float]:
     p = min(max(float(y), BCE_CLIP), 1.0 - BCE_CLIP)
-    value = -(y_true * math.log(p) + (1 - y_true) * math.log(1.0 - p))
+    value = -(y_true * math.log(p) + (1 - y_true) * math.log1p(-p))
     deriv = -(y_true / p) + (1 - y_true) / (1.0 - p)
     return value, deriv
 

@@ -219,17 +219,26 @@ class TestBaselines:
         assert (v == 0) == (t * s >= 1)
 
 
+# 0, 0.5 and 1 with their neighbouring floats on both sides, and a 101-point
+# grid: the switch points of every loss and their surroundings
+SWITCH_YS = [v for c in (0.0, 0.5, 1.0)
+             for v in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))
+             if 0.0 <= v <= 1.0] + list(np.linspace(0.0, 1.0, 101))
+
+
 class TestVectorizedKernels:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30)
     def test_vec_matches_scalar(self, seed):
         rng = np.random.default_rng(seed)
-        y = rng.random(64)
-        yt = rng.integers(0, 2, 64)
+        # random draws, then the switch points under each label
+        y = np.concatenate([rng.random(64), SWITCH_YS, SWITCH_YS])
+        yt = np.concatenate([rng.integers(0, 2, 64), np.zeros(len(SWITCH_YS), int),
+                             np.ones(len(SWITCH_YS), int)])
         for fam in LossFamily:
             p = LossParams(2.5, 0.7, fam)
             vals, grads = loss_and_grad_vec(y, yt, p)
-            for i in range(64):
+            for i in range(len(y)):
                 v, g = loss_oracle.loss_and_grad(float(y[i]), int(yt[i]), p)
                 assert vals[i] == pytest.approx(v, rel=1e-14, abs=0.0)
                 assert grads[i] == pytest.approx(g, rel=1e-14, abs=0.0)
@@ -246,13 +255,8 @@ class TestVectorizedKernels:
         (1, {Branch.CORRECT_DEFAULT, Branch.SIGMA_BOUNDARY, Branch.MISCLASSIFIED}),
     ])
     def test_branches_match_oracle_at_switches(self, y_true, pieces):
-        # 0, 0.5 and 1 with their neighbouring floats on both sides
-        ys = [v for c in (0.0, 0.5, 1.0)
-              for v in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))
-              if 0.0 <= v <= 1.0]
-        ys += list(np.linspace(0.0, 1.0, 101))
-        got = branches(ys, [y_true] * len(ys))
-        assert list(got) == [loss_oracle._branch_of(y, y_true) for y in ys]
+        got = branches(SWITCH_YS, [y_true] * len(SWITCH_YS))
+        assert list(got) == [loss_oracle._branch_of(y, y_true) for y in SWITCH_YS]
         assert set(got) == pieces
 
     def test_scalar_functions_are_length_one_kernel_calls(self):
