@@ -49,6 +49,8 @@ TABLE = [
           " --override loss_family=Xtreme-Margin --override scaling=ZScore"),
     Entry(f"train {CURVES} --override epochs=5 --override scaling=minmax"),
     Entry("boundary --config presets/ionosphere_boundary.cfg --resolution 40"),
+    # exactly one inference block, the most rows that add a broadcast bias, not a tile
+    Entry("boundary --config presets/ionosphere_boundary.cfg --resolution 64"),
     Entry("boundary --config presets/ionosphere_boundary.cfg --resolution 600"),
     Entry(f"{CV} --override epochs=5"),
     Entry(f"{CV} --override epochs=5 --override k=3 --override batch_size=7"),

@@ -375,6 +375,25 @@ class TestFlatBuffer:
                    for g in pair)
         assert np.array_equal(out, flat)
 
+    def test_views_keep_one_slot(self):
+        model = build_experiment_model(6, seed=3)
+        a, b = np.zeros_like(model.flat), np.ones_like(model.flat)
+        for vec in (a, b, a):
+            assert all(v.base is vec for pair in model.views(vec) for v in pair)
+
+    def test_backward_into_two_arrays_in_turn(self):
+        model = build_experiment_model(6, seed=3)
+        rng = np.random.default_rng(5)
+        traces = [forward(model, rng.normal(size=(4, 6))) for _ in range(2)]
+        wanted = [backward(t, model, np.ones(4), out=np.empty_like(model.flat))[0][0].base
+                  for t in traces]
+        assert not np.array_equal(*wanted)
+        outs = [np.empty_like(model.flat) for _ in traces]
+        for _ in range(2):
+            for trace, out, want in zip(traces, outs, wanted):
+                backward(trace, model, np.ones(4), out=out)
+                assert np.array_equal(out, want)
+
 
 class TestRawActivations:
     def test_raw_times_mask_is_activation_in_train_mode(self):
@@ -444,6 +463,14 @@ def blocked_infer_forward(model, X):
                            for lo in range(0, max(X.shape[-2], 1), INFER_ROWS)], axis=-1)
 
 
+def with_distinct_biases(model, offset):
+    """`model` with its own non-zero bias on every unit (`build_mlp` makes
+    them zero), so that a bias added wrongly, or not at all, shows."""
+    for layer in model.layers:
+        layer.biases[...] = offset + np.linspace(0.1, 0.7, layer.biases.shape[-1])
+    return model
+
+
 def check_predict_proba(model, X, shape):
     got = predict_proba(model, X)
     assert got.shape == shape
@@ -454,7 +481,7 @@ def check_predict_proba(model, X, shape):
 
 class TestPredictProba:
     def test_bitwise_equal_to_infer_forward(self):
-        model = build_experiment_model(6, seed=2)
+        model = with_distinct_biases(build_experiment_model(6, seed=2), 0.05)
         rng = np.random.default_rng(3)
         for n in ROW_COUNTS:
             X = rng.normal(size=(n, 6))
@@ -465,7 +492,8 @@ class TestPredictProba:
                 == forward(model, X[0], Mode.INFER).output.tobytes())
 
     def test_stacked_bitwise_equal_to_infer_forward(self):
-        stack = MlpModel.stack([build_experiment_model(6, seed=s) for s in range(3)])
+        stack = MlpModel.stack([with_distinct_biases(build_experiment_model(6, seed=s), 0.1 * s)
+                                for s in range(3)])
         rng = np.random.default_rng(4)
         for n in ROW_COUNTS:
             for X in (rng.normal(size=(n, 6)), rng.normal(size=(3, n, 6))):
